@@ -38,7 +38,7 @@ Each suite exercises one performance-critical path of the system:
 ``pstatic-matrix``
     The static persistency verifier against the dynamic checker over
     the same canonical-design matrix: one symbolic column walk per
-    design versus one full via-API replay per design.  The gate counter
+    design versus one full replay per design.  The gate counter
     is ``bytes_ratio`` — bytes the dynamic engine must touch (NVRAM
     image restore + simulated I/O) over bytes the static engine walks
     (the column arrays) — required to stay >= 10.

@@ -100,15 +100,6 @@ def reset_marker(entry_size: int) -> bytes:
     return bytes(buf)
 
 
-def is_reset_marker(raw: bytes) -> bool:
-    """True when ``raw`` holds a (checksum-valid) reset marker."""
-    return (
-        len(raw) >= HEADER_BYTES
-        and raw[4] == RESET_MAGIC
-        and _checksum(raw[:HEADER_BYTES]) == raw[6]
-    )
-
-
 @dataclass(frozen=True)
 class LogRecord:
     """One decoded log record."""

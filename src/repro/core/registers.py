@@ -58,10 +58,6 @@ class SpecialRegisters:
         except KeyError:
             raise TransactionError(f"transaction {user_txid} is not active") from None
 
-    def is_physical_active(self, physical: int) -> bool:
-        """True while ``physical`` backs an uncommitted transaction."""
-        return physical in self._active.values()
-
     def activity_token(self, physical) -> "int | None":
         """Current generation of ``physical`` if it is active, else None.
 

@@ -17,8 +17,8 @@ Three complementary checkers guard the simulator's correctness claims:
 
 * :mod:`repro.sanitizer.static` — the **symbolic** half.  The same
   twelve rules, proven or refuted from a compiled trace's op columns
-  alone — one walk, no machine, no replay — with counterexamples the
-  via-API replay engine can confirm (``repro pstatic``), plus a
+  alone — one walk, no machine, no replay — with counterexamples trace
+  replay can confirm (``repro pstatic``), plus a
   vector-clock happens-before race detector
   (:mod:`repro.sanitizer.hb`) over the trace's cross-thread accesses.
   The static and dynamic halves are *differentially gated*: CI

@@ -771,11 +771,10 @@ def run_psan(
     execution.  ``trace_path`` additionally saves the raw event stream
     as JSONL for offline re-checking (``repro psan --from-trace``).
 
-    Trace-compilable workloads run on the execution engine's via-API
-    replay (the checker's tracer forces the event-exact engine, so the
-    sanitized stream is bit-identical to interpretation —
-    ``tests/sim/test_replay.py``); one decode then amortizes across the
-    whole policy x threads matrix through the shared trace cache.
+    Trace-compilable workloads run on trace replay, whose event stream
+    is bit-identical to interpretation (``tests/sim/test_replay.py``);
+    one decode then amortizes across the whole policy x threads matrix
+    through the shared trace cache.
     """
     from ..harness.cache import shared_trace_cache, trace_enabled
     from ..harness.runner import RunConfig, prepare_workload, run_workload

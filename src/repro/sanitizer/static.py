@@ -16,7 +16,7 @@ timing of any particular execution.
 
 Every rule's outcome is a :class:`StaticVerdict`: **proven** (with the
 mechanism-level reason), **violated** (with a :class:`CounterExample`
-carrying op indices the via-API replay engine can confirm — see
+carrying op indices trace replay can confirm — see
 :func:`confirm_counterexample`), or **not-applicable** (designs without
 a log backend claim nothing, mirroring the dynamic checker disabling
 itself).
@@ -896,7 +896,7 @@ def _relocate(addr: Optional[int], bind: dict) -> Optional[int]:
 def _dynamic_report_with_bind(
     trace, policy, system, threads, txns_per_thread, seed
 ):
-    """Replay the cell via-API with the checker attached; returns the
+    """Replay the cell with the checker attached; returns the
     dynamic report plus the symbolic address binding."""
     from ..harness.runner import RunConfig
     from ..sim.replay import run_compiled
@@ -947,7 +947,7 @@ def confirm_counterexample(
 ):
     """Replay the cell and locate the dynamic diagnostic ``cex`` predicts.
 
-    Returns ``(confirmed, diagnostic)``: the via-API replay runs with
+    Returns ``(confirmed, diagnostic)``: the replay runs with
     the dynamic checker attached, the counterexample's symbolic address
     is relocated through the replay's block binding, and the diagnostic
     must match on rule, thread and (when both carry one) address.
@@ -1169,7 +1169,7 @@ def run_differential(
 
     For every cell the static verdict's fired-rule set must equal the
     dynamic checker's, and (``confirm``) every static counterexample
-    must match a diagnostic from the same via-API replay, relocated
+    must match a diagnostic from the same replay, relocated
     through the replay's symbolic binding.  The dynamic run doubles as
     the cost baseline: its counter is the events processed plus the
     instructions the machine had to simulate.

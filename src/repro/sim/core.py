@@ -13,11 +13,10 @@ Per-core state relevant to persistence:
   has posted via clwb or the WCB; ``sfence`` waits for it;
 * a private write-combining buffer for uncacheable software log stores.
 
-Every op exists in two forms: a scalar ``exec_*`` method taking plain
-arguments (the single source of the timing/stat formulas, also called
-directly by the trace-replay engine in :mod:`repro.sim.replay`) and a
-thin ``_exec_*`` wrapper unpacking the corresponding
-:class:`~repro.sim.microops.MicroOp` for the interpreted path.
+Each op is a scalar ``exec_*`` method taking plain arguments, the single
+source of its timing/stat formulas.  :class:`~repro.txn.runtime.ThreadAPI`
+calls them directly; :meth:`Core.execute` dispatches a
+:class:`~repro.sim.microops.MicroOp` to them for unit tests.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ class Core:
     def exec_load_fast(self, addr: int, line_addr: int) -> None:
         """Timing/stat-identical :meth:`exec_load` that skips materialising
         the loaded bytes (trace replay never consumes them).  ``line_addr``
-        is the precomputed line base (the replay engine decodes it once
-        per trace, not once per access)."""
+        is the precomputed line base."""
         latency, l1_hit = self._hierarchy.load_fast(
             self.core_id, addr, self.time, line_addr
         )

@@ -170,6 +170,7 @@ class Machine:
             self.hierarchy.writeback_release_hook = self._flush_wcbs
         self.crashed = False
         self._ops_since_retire = 0
+        self._forces_mark = 0
         self._tracer = None
         self.fault_monitor = None
         """Optional :class:`~repro.faults.crashpoints.FaultMonitor`
@@ -228,53 +229,43 @@ class Machine:
     # Execution
     # ------------------------------------------------------------------
     def execute(self, core_id: int, op: MicroOp) -> Optional[object]:
-        """Execute one micro-op on ``core_id``; returns op-specific data."""
+        """Execute one micro-op on ``core_id``; returns op-specific data.
+
+        The :class:`MicroOp` entry point for unit tests and tools;
+        :class:`~repro.txn.runtime.ThreadAPI` calls the core's scalar
+        ``exec_*`` methods directly, bracketed by the same
+        :meth:`before_op`/:meth:`after_op` housekeeping.
+        """
+        core = self.cores[core_id]
+        self.before_op(core)
+        result = core.execute(op)
+        self.after_op(core)
+        return result
+
+    def before_op(self, core: Core) -> None:
+        """Per-op housekeeping before ``core`` executes one operation: the
+        crashed check and the FWB scan cadence."""
         if self.crashed:
             raise SimulationError("machine has crashed; no further execution")
-        core = self.cores[core_id]
-        if self._tracer is None:
-            if self.fwb is not None:
-                self.fwb.maybe_scan(core.time)
-            result = core.execute(op)
-        else:
-            result = self._execute_traced(core, op)
+        if self.fwb is not None:
+            self.fwb.maybe_scan(core.time)
+        if self._tracer is not None:
+            self._forces_mark = self.stats.log_wrap_forced_writebacks
+
+    def after_op(self, core: Core) -> None:
+        """Per-op housekeeping after ``core`` executed one operation: the
+        tracer's ``log_wrap_force`` event, the fault monitor and the
+        memory controller's retire cadence."""
+        if self._tracer is not None:
+            forced = self.stats.log_wrap_forced_writebacks - self._forces_mark
+            if forced > 0:
+                self._tracer.emit(core.time, "log_wrap_force", core.core_id, count=forced)
         if self.fault_monitor is not None:
             self.fault_monitor.after_op(core.time, self.stats)
         self._ops_since_retire += 1
         if self._ops_since_retire >= _RETIRE_PERIOD:
             self._ops_since_retire = 0
             self.memctrl.retire(min(c.time for c in self.cores))
-        return result
-
-    def _execute_traced(self, core: Core, op: MicroOp):
-        from .microops import TxBegin, TxCommit
-
-        forces_before = self.stats.log_wrap_forced_writebacks
-        if self.fwb is not None:
-            self.fwb.maybe_scan(core.time)
-        result = core.execute(op)
-        if isinstance(op, TxBegin):
-            self._tracer.emit(
-                core.time, "tx_begin", core.core_id, txid=op.txid, tid=op.tid
-            )
-        elif isinstance(op, TxCommit):
-            durable = float(result) if isinstance(result, float) else None
-            self._tracer.emit(
-                core.time,
-                "tx_commit",
-                core.core_id,
-                txid=op.txid,
-                tid=op.tid,
-                durable=durable,
-            )
-        if self.stats.log_wrap_forced_writebacks > forces_before:
-            self._tracer.emit(
-                core.time,
-                "log_wrap_force",
-                core.core_id,
-                count=self.stats.log_wrap_forced_writebacks - forces_before,
-            )
-        return result
 
     def core_time(self, core_id: int) -> float:
         """Local clock of ``core_id``."""

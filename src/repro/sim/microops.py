@@ -11,7 +11,7 @@ Figure 2 illustrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,9 @@ class TxBegin(MicroOp):
 
 @dataclass(frozen=True)
 class TxCommit(MicroOp):
-    """Transaction commit.
-
-    ``wait_for_durability`` makes the core block until the commit point is
-    durable (used by software clwb policies); hardware policies commit
-    instantly (Section III-D, "free ride").
-    """
+    """Transaction commit; under hardware logging it appends the commit
+    record and returns its durability time (Section III-D, "free ride")."""
 
     txid: int
     tid: int = 0
     overhead_instrs: int = 0
-    wait_for_durability: bool = False
-    writeback_lines: tuple = field(default=())

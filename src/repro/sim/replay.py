@@ -13,16 +13,12 @@ identical for every cell that differs only in
   **bit-identical** :class:`~repro.sim.stats.MachineStats` to the
   interpreted run.
 
-Replay has two engines, selected automatically:
-
-* ``via-API`` — drives a real :class:`~repro.txn.runtime.ThreadAPI` call
-  for call, reproducing the exact micro-op *and* tracer/psan event
-  streams.  Used whenever a tracer or fault monitor is attached.
-* ``fast`` — calls the scalar ``Core.exec_*`` methods directly with
-  per-design dispatch resolved once per cell (no ``MicroOp`` objects, no
-  ``isinstance`` chains, no golden-model bookkeeping).  Used when nothing
-  subscribes to events; the stats stay bit-identical because every
-  timing/stat formula lives in the scalar methods both paths share.
+Replay decodes the columns and drives one
+:class:`~repro.txn.runtime.ThreadAPI` per thread — the same per-design
+lowering the interpreter uses — so the micro-op stream, the tracer/psan
+event stream, fault-monitor crash points, the golden model and the final
+NVRAM image all match the interpreted run.  Only the workload logic
+(hashing, pointer chasing, RNG draws) is skipped.
 
 Validity of sequential recording: every trace-compilable workload
 partitions its data per thread (``tid % MAX_PARTITIONS``), derives its
@@ -31,18 +27,16 @@ thread's operation stream is independent of the interleaving and can be
 recorded thread-at-a-time.  Allocation is the one cross-thread coupling:
 the recorder never models the *shared* heap (interleaving-dependent) —
 every shared-heap allocation yields a fresh symbolic token, bound to the
-real address the replayed cell obtains (see :mod:`repro.sim.ctrace`);
-only the deterministic thread-local recycling of
-:meth:`~repro.txn.runtime.ThreadAPI.alloc`/``free`` is mirrored.
+real address the replayed cell obtains (see :mod:`repro.sim.ctrace`).
+Replayed allocations go through :meth:`~repro.txn.runtime.ThreadAPI.alloc`
+and ``free``, whose thread-local recycling the recorder mirrors.
 """
 
 from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from typing import Optional
 
-from ..core.design import CommitProtocol
 from ..errors import TransactionError, WorkloadError
 from ..utils import align_up, split_words
 from .ctrace import (
@@ -60,15 +54,7 @@ from .ctrace import (
     CompiledTrace,
     sym_token,
 )
-from .machine import _RETIRE_PERIOD, Machine
-
-_ZEROS = tuple(bytes(n) for n in range(9))
-
-# Per-design write/commit lowering, resolved once per replayed cell.
-_MODE_PLAIN = 0
-_MODE_HW = 1
-_MODE_SW_UNDO = 2
-_MODE_SW_REDO = 3
+from .machine import Machine
 
 
 # ----------------------------------------------------------------------
@@ -267,31 +253,43 @@ def compile_trace(prepared, threads: int, txns_per_thread: int) -> CompiledTrace
 
 
 # ----------------------------------------------------------------------
-# Replay: via-API engine (exact micro-op and event streams)
+# Replay
 # ----------------------------------------------------------------------
-def _api_thread(api, col: CompiledThread, bind: dict):
-    """Generator replaying one thread through a real :class:`ThreadAPI`.
+def _replay_thread(api, col: CompiledThread, bind: dict, line_mask: int):
+    """Generator replaying one thread through its :class:`ThreadAPI`.
 
-    Produces the identical micro-op sequence to the original run: a
-    recorded multi-word write replays as one ``api.write`` per piece,
-    which is equivalent because ``split_words`` returns a piece unchanged
-    (pieces never cross word boundaries and 8-alignment is preserved by
-    relocation).
+    The API's per-design lowering turns each recorded op into core ops,
+    exactly as in the interpreted run.  Recorded writes are already split
+    into word pieces (relocation preserves 8-alignment, so a piece never
+    crosses a word) and go straight to ``write_piece``; reads confined to
+    one line take the data-less ``load_line`` entry, since replay never
+    consumes load data.
     """
     kinds = col.kinds
     av = col.a
     bv = col.b
+    read_line = col.read_line
     pa_col = col.piece_addr
-    pl_col = col.piece_len
     ps_col = col.piece_sym
     pv_col = col.piece_val
+    piece_data = col.piece_data
+    load_line = api.load_line
+    write_piece = api.write_piece
     for i in range(len(kinds)):
         kind = kinds[i]
         if kind == K_READ:
+            line = read_line[i]
+            if line >= 0:
+                load_line(av[i], line)
+                continue
             addr = av[i]
             if addr >= SYM_BASE:
                 addr = bind[(addr - SYM_BASE) >> 24] + (addr & SYM_OFF_MASK)
-            api.read(addr, bv[i])
+            line = addr & line_mask
+            if (addr + bv[i] - 1) & line_mask == line:
+                load_line(addr, line)
+            else:
+                api.read(addr, bv[i])
         elif kind == K_WRITE:
             start = av[i]
             for j in range(start, start + bv[i]):
@@ -300,13 +298,14 @@ def _api_thread(api, col: CompiledThread, bind: dict):
                     piece_addr = bind[(piece_addr - SYM_BASE) >> 24] + (
                         piece_addr & SYM_OFF_MASK
                     )
-                value = pv_col[j]
                 if ps_col[j]:
-                    value = bind[(value - SYM_BASE) >> 24] + (value & SYM_OFF_MASK)
-                    data = value.to_bytes(8, "little")
+                    value = pv_col[j]
+                    data = (
+                        bind[(value - SYM_BASE) >> 24] + (value & SYM_OFF_MASK)
+                    ).to_bytes(8, "little")
                 else:
-                    data = value.to_bytes(pl_col[j], "little")
-                api.write(piece_addr, data)
+                    data = piece_data[j]
+                write_piece(piece_addr, data)
         elif kind == K_COMPUTE:
             api.compute(av[i])
         elif kind == K_TX_BEGIN:
@@ -330,284 +329,6 @@ def _api_thread(api, col: CompiledThread, bind: dict):
 
 
 # ----------------------------------------------------------------------
-# Replay: fast engine (scalar core calls, per-design dispatch)
-# ----------------------------------------------------------------------
-def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict):
-    """Generator replaying one thread against the scalar core methods.
-
-    Transcribes the :class:`~repro.txn.runtime.ThreadAPI` lowering branch
-    for branch with the design predicates resolved once up front, and
-    replicates :meth:`Machine.execute`'s per-op housekeeping (FWB scan
-    before, retire cadence after) around every micro-op equivalent.
-    Skips only work with no stats/timing effect: golden-model staging,
-    tracer guards (no tracer is attached on this path), the read-only
-    ``physical_txid`` lookups, and load-data materialisation (software
-    undo records carry zero old-values — :class:`LogRecord` encoding is
-    content-independent, fixed ``entry_size`` bytes).
-    """
-    spec = machine.policy
-    core = machine.cores[tid]
-    cores = machine.cores
-    memctrl = machine.memctrl
-    hierarchy = machine.hierarchy
-    fwb = machine.fwb
-    swlog = machine.swlog
-    heap = pm.heap
-    logging_cfg = machine.config.logging
-    line_size = machine.config.line_size
-    line_mask = ~(line_size - 1)
-
-    if spec.uses_hw_logging:
-        mode = _MODE_HW
-        begin_overhead = logging_cfg.hw_instrs_tx_begin
-        commit_overhead = logging_cfg.hw_instrs_tx_commit
-    elif spec.uses_sw_logging:
-        mode = _MODE_SW_REDO if spec.defers_in_place_stores else _MODE_SW_UNDO
-        begin_overhead = logging_cfg.softlog_instrs_tx_begin
-        commit_overhead = logging_cfg.softlog_instrs_tx_commit
-    else:
-        mode = _MODE_PLAIN
-        begin_overhead = 0
-        commit_overhead = 0
-    softlog_per_record = logging_cfg.softlog_instrs_per_record
-    clwb_commit = spec.uses_clwb_at_commit
-    sw_instant = mode in (_MODE_SW_UNDO, _MODE_SW_REDO) and (
-        spec.commit is CommitProtocol.INSTANT
-    )
-    protects = spec.protects_log_wrap
-
-    scan = fwb.maybe_scan if fwb is not None else None
-    exec_compute = core.exec_compute
-    exec_load_fast = core.exec_load_fast
-    exec_store = core.exec_store
-    exec_clwb = core.exec_clwb
-    exec_fence = core.exec_fence
-    exec_tx_begin = core.exec_tx_begin
-    exec_tx_commit = core.exec_tx_commit
-
-    def tick() -> None:
-        machine._ops_since_retire += 1
-        if machine._ops_since_retire >= _RETIRE_PERIOD:
-            machine._ops_since_retire = 0
-            memctrl.retire(min(c.time for c in cores))
-
-    def emit_log(placed) -> None:
-        displaced = placed.displaced_line
-        if displaced is not None and protects and hierarchy.is_line_dirty(displaced):
-            completion = machine.force_line_durable(displaced, core.time)
-            if completion > core.time:
-                core.time = completion
-        if scan is not None:
-            scan(core.time)
-        core.exec_logstore(placed.addr, placed.payload)
-        tick()
-
-    kinds = col.kinds
-    av = col.a
-    bv = col.b
-    read_line = col.read_line
-    pa_col = col.piece_addr
-    ps_col = col.piece_sym
-    pv_col = col.piece_val
-    piece_data = col.piece_data
-
-    txid = 0
-    in_txn = False
-    write_lines: set[int] = set()
-    overlay: dict[int, bytes] = {}
-    local_free: dict[int, list[int]] = {}
-    pending_frees: list[tuple[int, int]] = []
-
-    for i in range(len(kinds)):
-        kind = kinds[i]
-        if kind == K_READ:
-            line = read_line[i]
-            if line >= 0:
-                if scan is not None:
-                    scan(core.time)
-                exec_load_fast(av[i], line)
-                tick()
-                continue
-            addr = av[i]
-            if addr >= SYM_BASE:
-                addr = bind[(addr - SYM_BASE) >> 24] + (addr & SYM_OFF_MASK)
-            end = addr + bv[i]
-            line = addr & line_mask
-            if (end - 1) & line_mask == line:
-                if scan is not None:
-                    scan(core.time)
-                exec_load_fast(addr, line)
-                tick()
-            else:
-                cursor = addr
-                while cursor < end:
-                    line = cursor & line_mask
-                    if scan is not None:
-                        scan(core.time)
-                    exec_load_fast(cursor, line)
-                    tick()
-                    cursor = min(end, line + line_size)
-        elif kind == K_WRITE:
-            start = av[i]
-            for j in range(start, start + bv[i]):
-                piece_addr = pa_col[j]
-                if piece_addr >= SYM_BASE:
-                    piece_addr = bind[(piece_addr - SYM_BASE) >> 24] + (
-                        piece_addr & SYM_OFF_MASK
-                    )
-                if ps_col[j]:
-                    value = pv_col[j]
-                    data = (
-                        bind[(value - SYM_BASE) >> 24] + (value & SYM_OFF_MASK)
-                    ).to_bytes(8, "little")
-                else:
-                    data = piece_data[j]
-                if clwb_commit:
-                    write_lines.add(piece_addr & line_mask)
-                if mode == _MODE_HW:
-                    if scan is not None:
-                        scan(core.time)
-                    exec_store(piece_addr, data, True, txid, tid)
-                    tick()
-                elif mode == _MODE_SW_UNDO:
-                    if scan is not None:
-                        scan(core.time)
-                    exec_load_fast(piece_addr, piece_addr & line_mask)
-                    tick()
-                    if softlog_per_record:
-                        if scan is not None:
-                            scan(core.time)
-                        exec_compute(softlog_per_record)
-                        tick()
-                    emit_log(
-                        swlog.data(txid, tid, piece_addr, _ZEROS[len(data)], data)
-                    )
-                    if scan is not None:
-                        scan(core.time)
-                    exec_store(piece_addr, data)
-                    tick()
-                elif mode == _MODE_SW_REDO:
-                    if softlog_per_record:
-                        if scan is not None:
-                            scan(core.time)
-                        exec_compute(softlog_per_record)
-                        tick()
-                    emit_log(swlog.data(txid, tid, piece_addr, b"", data))
-                    overlay[piece_addr] = data
-                else:
-                    if scan is not None:
-                        scan(core.time)
-                    exec_store(piece_addr, data)
-                    tick()
-        elif kind == K_COMPUTE:
-            if scan is not None:
-                scan(core.time)
-            exec_compute(av[i])
-            tick()
-        elif kind == K_TX_BEGIN:
-            txid = pm.next_txid()
-            in_txn = True
-            write_lines.clear()
-            overlay.clear()
-            if scan is not None:
-                scan(core.time)
-            exec_tx_begin(txid, tid, begin_overhead)
-            tick()
-            if mode in (_MODE_SW_UNDO, _MODE_SW_REDO):
-                emit_log(swlog.begin(txid, tid))
-        elif kind == K_TX_COMMIT:
-            if mode == _MODE_HW:
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, commit_overhead)
-                tick()
-                if clwb_commit:
-                    for line in sorted(write_lines):
-                        if scan is not None:
-                            scan(core.time)
-                        exec_clwb(line)
-                        tick()
-            elif mode == _MODE_PLAIN:
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, 0)
-                tick()
-            elif sw_instant:
-                emit_log(swlog.commit(txid, tid))
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, commit_overhead)
-                tick()
-            elif mode == _MODE_SW_UNDO:
-                if clwb_commit:
-                    for line in sorted(write_lines):
-                        if scan is not None:
-                            scan(core.time)
-                        exec_clwb(line)
-                        tick()
-                if scan is not None:
-                    scan(core.time)
-                exec_fence()
-                tick()
-                emit_log(swlog.commit(txid, tid))
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, commit_overhead)
-                tick()
-                core.wcb.flush(core.time)
-            else:  # software redo, fenced
-                emit_log(swlog.commit(txid, tid))
-                if scan is not None:
-                    scan(core.time)
-                exec_fence()
-                tick()
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, commit_overhead)
-                tick()
-                for addr, piece in overlay.items():
-                    if scan is not None:
-                        scan(core.time)
-                    exec_store(addr, piece)
-                    tick()
-                if clwb_commit:
-                    for line in sorted(write_lines):
-                        if scan is not None:
-                            scan(core.time)
-                        exec_clwb(line)
-                        tick()
-            in_txn = False
-            write_lines.clear()
-            overlay.clear()
-            for addr, size in pending_frees:
-                local_free.setdefault(size, []).append(addr)
-            pending_frees.clear()
-        elif kind == K_ALLOC:
-            size = (av[i] + 7) & ~7
-            bucket = local_free.get(size)
-            if bucket:
-                result = bucket.pop()
-            else:
-                result = heap.alloc(size)
-            token = bv[i]
-            if token >= SYM_BASE:
-                block_id = (token - SYM_BASE) >> 24
-                if block_id not in bind:
-                    bind[block_id] = result
-        elif kind == K_FREE:
-            addr = av[i]
-            if addr >= SYM_BASE:
-                addr = bind[(addr - SYM_BASE) >> 24] + (addr & SYM_OFF_MASK)
-            size = (bv[i] + 7) & ~7
-            if in_txn:
-                pending_frees.append((addr, size))
-            else:
-                local_free.setdefault(size, []).append(addr)
-        else:  # K_YIELD
-            yield
-
-
-# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
@@ -615,10 +336,9 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     same :class:`~repro.harness.runner.RunOutcome` as
     :func:`~repro.harness.runner.run_workload` with bit-identical stats.
 
-    Engine selection happens *after* ``machine_hook`` runs: attaching a
-    tracer or fault monitor (psan does both via ``machine.tracer``)
-    switches to the via-API engine, which preserves the exact event
-    stream; otherwise the trace-free fast engine runs.
+    ``machine_hook`` runs before replay starts, so a tracer or fault
+    monitor it attaches sees the same event stream, and the same crash
+    points, as in the interpreted run.
 
     ``bind_out`` (a dict, filled in place) receives the symbolic
     block-id -> real-address binding the replay establishes; the static
@@ -654,16 +374,11 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     pm.heap.restore(trace.heap_state)
 
     bind: dict[int, int] = {} if bind_out is None else bind_out
-    if machine.tracer is not None or machine.fault_monitor is not None:
-        generators = [
-            _api_thread(pm.api(core_id=tid, tid=tid), trace.thread_cols[tid], bind)
-            for tid in range(run.threads)
-        ]
-    else:
-        generators = [
-            _fast_thread(machine, pm, trace.thread_cols[tid], tid, bind)
-            for tid in range(run.threads)
-        ]
+    line_mask = ~(system.line_size - 1)
+    generators = [
+        _replay_thread(pm.api(core_id=tid, tid=tid), trace.thread_cols[tid], bind, line_mask)
+        for tid in range(run.threads)
+    ]
 
     # Identical scheduling to run_workload: min-heap on core clock,
     # tie-break on thread id.

@@ -38,13 +38,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.design import CommitProtocol, DesignSpec
+from ..core.design import CommitProtocol
 from ..core.logrecord import LogRecord, RecordKind
 from ..core.nvlog import PlacedRecord
 from ..errors import TransactionError
 from ..sim.machine import Machine
-from ..sim.microops import CLWB, Compute, Fence, Load, LogStore, Store, TxBegin, TxCommit
-from ..utils import line_address, split_words
+from ..utils import align_up, split_words
 from .heap import PersistentHeap
 
 
@@ -99,12 +98,20 @@ class GoldenModel:
 
 
 class ThreadAPI:
-    """Transaction interface for one software thread on one core."""
+    """Transaction interface for one software thread on one core.
+
+    The only place a design's mechanisms become core operations: every
+    engine (interpreter, trace replay, serve, faults, dist, adapt) drives
+    a ``ThreadAPI``.  Each core operation is a direct ``Core.exec_*``
+    call bracketed by ``Machine.before_op``/``Machine.after_op``.
+    """
 
     def __init__(self, pm: "PersistentMemory", core_id: int, tid: int) -> None:
         self._pm = pm
         self._machine = pm.machine
-        self._policy = pm.machine.policy
+        self._core = pm.machine.cores[core_id]
+        self._line_size = pm.machine.config.line_size
+        self._line_mask = ~(self._line_size - 1)
         self.core_id = core_id
         self.tid = tid
         self._txid: Optional[int] = None
@@ -114,6 +121,7 @@ class ThreadAPI:
         self._pending_frees: list[tuple[int, int]] = []
         self._local_free: dict[int, list[int]] = {}
         self._tagged_requests: Optional[list] = None
+        self._resolve_lowering()
 
     # ------------------------------------------------------------------
     @property
@@ -124,8 +132,8 @@ class ThreadAPI:
     def refresh_policy(self) -> None:
         """Re-read the machine's active design after a safe switch.
 
-        The policy is cached at construction because every ``write`` and
-        ``tx_commit`` consults it; a mid-run design switch
+        The lowering is resolved at construction because every ``write``
+        and ``tx_commit`` consults it; a mid-run design switch
         (:meth:`repro.sim.machine.Machine.switch_design`) must call this
         on every live API, outside any transaction, or the thread keeps
         lowering stores for the pre-switch mechanisms.
@@ -135,12 +143,47 @@ class ThreadAPI:
                 "cannot refresh the design policy mid-transaction "
                 f"(tid={self.tid}, txid={self._txid})"
             )
-        self._policy = self._pm.machine.policy
+        self._resolve_lowering()
+
+    def _resolve_lowering(self) -> None:
+        """Bind the active design to one of four store handlers (plain,
+        hardware-logged, software undo, software redo) and one of five
+        commit handlers: the one decision per design of what a
+        transactional store and commit do."""
+        policy = self._pm.machine.policy
+        logging = self._machine.config.logging
+        self._policy = policy
+        self._sw_logging = policy.uses_sw_logging
+        self._protects_wrap = policy.protects_log_wrap
+        self._clwb_at_commit = policy.uses_clwb_at_commit
+        if policy.uses_hw_logging:
+            self._store_piece = self._hw_write
+            self._commit = self._hw_commit
+            self._begin_overhead = logging.hw_instrs_tx_begin
+            self._commit_overhead = logging.hw_instrs_tx_commit
+        elif policy.uses_sw_logging:
+            if policy.defers_in_place_stores:
+                self._store_piece = self._sw_redo_write
+            else:
+                self._store_piece = self._sw_undo_write
+            if policy.commit is CommitProtocol.INSTANT:
+                self._commit = self._sw_instant_commit
+            elif policy.logs_redo:
+                self._commit = self._sw_redo_commit
+            else:
+                self._commit = self._sw_undo_commit
+            self._begin_overhead = logging.softlog_instrs_tx_begin
+            self._commit_overhead = logging.softlog_instrs_tx_commit
+        else:
+            self._store_piece = self._store
+            self._commit = self._plain_commit
+            self._begin_overhead = 0
+            self._commit_overhead = 0
 
     @property
     def now(self) -> float:
         """This thread's core clock."""
-        return self._machine.core_time(self.core_id)
+        return self._core.time
 
     @property
     def heap(self) -> PersistentHeap:
@@ -160,8 +203,6 @@ class ThreadAPI:
     def alloc(self, size: int) -> int:
         """Allocate persistent memory, preferring this thread's recycled
         blocks."""
-        from ..utils import align_up
-
         size = align_up(size, 8)
         bucket = self._local_free.get(size)
         if bucket:
@@ -170,8 +211,6 @@ class ThreadAPI:
 
     def free(self, addr: int, size: int) -> None:
         """Release a block; deferred to commit when inside a transaction."""
-        from ..utils import align_up
-
         size = align_up(size, 8)
         if self.in_transaction:
             self._pending_frees.append((addr, size))
@@ -185,25 +224,21 @@ class ThreadAPI:
         """Start a transaction; returns the user transaction ID."""
         if self.in_transaction:
             raise TransactionError("nested transactions are not supported")
-        policy = self._policy
         txid = self._pm.next_txid()
         self._txid = txid
         self._writes = {}
         self._write_lines = set()
         self._overlay = {}
-        logging = self._machine.config.logging
-        if policy.uses_sw_logging:
-            overhead = logging.softlog_instrs_tx_begin
-        elif policy.uses_hw_logging:
-            overhead = logging.hw_instrs_tx_begin
-        else:
-            overhead = 0
-        self._machine.execute(
-            self.core_id, TxBegin(txid=txid, tid=self.tid, overhead_instrs=overhead)
-        )
-        if policy.uses_sw_logging:
-            placed = self._machine.swlog.begin(txid, self.tid)
-            self._emit_log(placed, "begin")
+        machine = self._machine
+        core = self._core
+        machine.before_op(core)
+        core.exec_tx_begin(txid, self.tid, self._begin_overhead)
+        tracer = machine.tracer
+        if tracer is not None:
+            tracer.emit(core.time, "tx_begin", self.core_id, txid=txid, tid=self.tid)
+        machine.after_op(core)
+        if self._sw_logging:
+            self._emit_log(machine.swlog.begin(txid, self.tid), "begin")
         return txid
 
     def tag_requests(self, requests: list) -> None:
@@ -226,9 +261,8 @@ class ThreadAPI:
         """
         if not self.in_transaction:
             raise TransactionError("tx_commit outside a transaction")
-        policy = self._policy
         txid = self._txid
-        durable = self._commit_for_policy(policy, txid)
+        durable = self._commit(txid)
         tracer = self._machine.tracer
         if tracer is not None:
             tracer.emit(
@@ -275,195 +309,239 @@ class ThreadAPI:
     # ------------------------------------------------------------------
     def read(self, addr: int, size: int) -> bytes:
         """Transactional (or plain) read of ``size`` bytes."""
-        line_size = self._machine.config.line_size
+        machine = self._machine
+        core = self._core
         out = bytearray()
         cursor = addr
-        remaining = size
-        while remaining > 0:
-            line_end = line_address(cursor, line_size) + line_size
-            take = min(remaining, line_end - cursor)
-            data = self._machine.execute(self.core_id, Load(cursor, take))
-            out += data
+        end = addr + size
+        while cursor < end:
+            take = min(end, (cursor & self._line_mask) + self._line_size) - cursor
+            machine.before_op(core)
+            out += core.exec_load(cursor, take)
+            machine.after_op(core)
             cursor += take
-            remaining -= take
         if self._overlay:
             self._patch_overlay(addr, out)
         return bytes(out)
+
+    def load_line(self, addr: int, line_addr: int) -> None:
+        """Timing-only read of an access inside the line at ``line_addr``.
+
+        Trace replay's read entry: it never consumes load data, so the
+        loaded bytes are not materialised.
+        """
+        machine = self._machine
+        core = self._core
+        machine.before_op(core)
+        core.exec_load_fast(addr, line_addr)
+        machine.after_op(core)
 
     def write(self, addr: int, data: bytes) -> None:
         """Persistent write, lowered according to the machine's policy."""
         if not self.in_transaction:
             raise TransactionError("persistent writes require a transaction")
-        policy = self._policy
         for piece_addr, piece in split_words(addr, data):
-            self._writes[piece_addr] = piece
-            self._write_lines.add(
-                line_address(piece_addr, self._machine.config.line_size)
-            )
-            if not (policy.uses_hw_logging or policy.uses_sw_logging):
-                self._machine.execute(self.core_id, Store(piece_addr, piece))
-            elif policy.uses_hw_logging:
-                self._machine.execute(
-                    self.core_id,
-                    Store(
-                        piece_addr,
-                        piece,
-                        persistent=True,
-                        txid=self._txid,
-                        tid=self.tid,
-                    ),
-                )
-            elif policy.defers_in_place_stores:
-                self._sw_redo_write(piece_addr, piece)
-            else:
-                self._sw_undo_write(piece_addr, piece)
+            self.write_piece(piece_addr, piece)
+
+    def write_piece(self, addr: int, piece: bytes) -> None:
+        """Write one word piece (as :func:`~repro.utils.split_words`
+        yields it) inside the open transaction.
+
+        :meth:`write` splits into pieces; trace replay, whose columns are
+        pre-split, calls this directly.
+        """
+        self._writes[addr] = piece
+        self._write_lines.add(addr & self._line_mask)
+        self._store_piece(addr, piece)
 
     def compute(self, count: int) -> None:
         """Execute ``count`` non-memory instructions."""
         if count > 0:
-            self._machine.execute(self.core_id, Compute(count))
+            machine = self._machine
+            core = self._core
+            machine.before_op(core)
+            core.exec_compute(count)
+            machine.after_op(core)
 
     # ------------------------------------------------------------------
-    # Per-design lowering
+    # Per-design store lowering
     # ------------------------------------------------------------------
+    def _hw_write(self, addr: int, piece: bytes) -> None:
+        """Hardware logging: one persistent store; the HWL engine logs it
+        inside the cache hierarchy with zero extra instructions."""
+        machine = self._machine
+        core = self._core
+        machine.before_op(core)
+        core.exec_store(addr, piece, True, self._txid, self.tid)
+        machine.after_op(core)
+
     def _sw_undo_write(self, addr: int, piece: bytes) -> None:
         """Software undo logging: load old value, log it, then store."""
-        logging = self._machine.config.logging
-        old = self._machine.execute(self.core_id, Load(addr, len(piece)))
-        self.compute(logging.softlog_instrs_per_record)
-        placed = self._machine.swlog.data(self._txid, self.tid, addr, old, piece)
+        machine = self._machine
+        core = self._core
+        machine.before_op(core)
+        old = core.exec_load(addr, len(piece))
+        machine.after_op(core)
+        self.compute(machine.config.logging.softlog_instrs_per_record)
+        placed = machine.swlog.data(self._txid, self.tid, addr, old, piece)
         self._emit_log(placed, "data")
-        self._machine.execute(self.core_id, Store(addr, piece))
+        self._store(addr, piece)
 
     def _sw_redo_write(self, addr: int, piece: bytes) -> None:
         """Software redo logging: log the new value; defer the store."""
-        logging = self._machine.config.logging
-        self.compute(logging.softlog_instrs_per_record)
-        placed = self._machine.swlog.data(self._txid, self.tid, addr, b"", piece)
+        machine = self._machine
+        self.compute(machine.config.logging.softlog_instrs_per_record)
+        placed = machine.swlog.data(self._txid, self.tid, addr, b"", piece)
         self._emit_log(placed, "data")
         self._overlay[addr] = piece
 
-    def _commit_for_policy(self, policy: DesignSpec, txid: int) -> float:
-        logging = self._machine.config.logging
-        core = self.core_id
-        if policy.uses_hw_logging:
-            # The commit record is appended inside the TxCommit micro-op;
-            # from the moment it executes the transaction's fate belongs
-            # to the log, so stage it as in-doubt first.
-            self._pm.golden.stage(
-                self.tid,
-                self._machine.registers.physical_txid(txid),
-                self._writes,
-            )
-            durable = self._machine.execute(
-                core,
-                TxCommit(
-                    txid=txid,
-                    tid=self.tid,
-                    overhead_instrs=logging.hw_instrs_tx_commit,
-                ),
-            )
-            if policy.uses_clwb_at_commit:
-                # hwl still forces write-backs with clwb, but delayed past
-                # the commit point and unfenced (Figure 1(c): "clwb can be
-                # delayed") — the write-backs are posted, not waited on.
-                for line in sorted(self._write_lines):
-                    self._machine.execute(core, CLWB(line))
-            if policy.commit is CommitProtocol.INSTANT:
-                return self.now  # optimistic; durability not awaited
-            return float(durable) if durable is not None else self.now
+    # ------------------------------------------------------------------
+    # Per-design commit lowering
+    # ------------------------------------------------------------------
+    def _plain_commit(self, txid: int) -> float:
+        """No log backend: commit at the core clock."""
+        self._tx_commit_op(txid, 0)
+        return self.now
 
-        if not policy.uses_sw_logging:
-            self._machine.execute(core, TxCommit(txid=txid, tid=self.tid))
-            return self.now
+    def _hw_commit(self, txid: int) -> float:
+        """Hardware logging: the commit record is appended inside the
+        commit op; from the moment it executes the transaction's fate
+        belongs to the log, so stage it as in-doubt first."""
+        self._stage(txid)
+        durable = self._tx_commit_op(txid, self._commit_overhead)
+        if self._clwb_at_commit:
+            # hwl still forces write-backs with clwb, but delayed past
+            # the commit point and unfenced (Figure 1(c): "clwb can be
+            # delayed") — the write-backs are posted, not waited on.
+            self._clwb_write_set()
+        if self._policy.commit is CommitProtocol.INSTANT:
+            return self.now  # optimistic; durability not awaited
+        return float(durable) if durable is not None else self.now
 
-        # Software logging designs.
-        overhead = logging.softlog_instrs_tx_commit
-        if policy.commit is CommitProtocol.INSTANT:
-            # unsafe-base: append the commit record and report commit at
-            # the core clock without ever fencing — no guarantee.
-            physical = self._machine.registers.physical_txid(txid)
-            placed = self._machine.swlog.commit(txid, self.tid)
-            self._pm.golden.stage(self.tid, physical, self._writes)
-            self._emit_log(placed, "commit")
-            self._machine.execute(
-                core, TxCommit(txid=txid, tid=self.tid, overhead_instrs=overhead)
-            )
-            return self.now  # optimistic; no durability guarantee
+    def _sw_instant_commit(self, txid: int) -> float:
+        """unsafe-base: append the commit record and report commit at the
+        core clock without ever fencing — no guarantee."""
+        self._log_commit_record(txid)
+        self._tx_commit_op(txid, self._commit_overhead)
+        return self.now
 
-        if not policy.logs_redo:
-            # Undo protocol (undo-clwb): force the data (the write-back
-            # hook already guarantees the undo records reach NVRAM
-            # first), fence, then write the commit record.
-            if policy.uses_clwb_at_commit:
-                for line in sorted(self._write_lines):
-                    self._machine.execute(core, CLWB(line))
-            self._machine.execute(core, Fence())
-            physical = self._machine.registers.physical_txid(txid)
-            placed = self._machine.swlog.commit(txid, self.tid)
-            self._pm.golden.stage(self.tid, physical, self._writes)
-            self._emit_log(placed, "commit")
-            self._machine.execute(
-                core, TxCommit(txid=txid, tid=self.tid, overhead_instrs=overhead)
-            )
-            # The commit record drains with the WCB; its completion is the
-            # real commit point (no extra fence needed for correctness —
-            # an un-drained commit record just rolls the transaction back).
-            # Report that completion exactly: a crash between it and the
-            # core observing it still recovers the transaction.
-            return self._machine.cores[core].wcb.flush(self.now)
+    def _sw_undo_commit(self, txid: int) -> float:
+        """Undo protocol (undo-clwb): force the data (the write-back hook
+        already guarantees the undo records reach NVRAM first), fence,
+        then write the commit record."""
+        if self._clwb_at_commit:
+            self._clwb_write_set()
+        self._fence()
+        self._log_commit_record(txid)
+        self._tx_commit_op(txid, self._commit_overhead)
+        # The commit record drains with the WCB; its completion is the
+        # real commit point (no extra fence needed for correctness — an
+        # un-drained commit record just rolls the transaction back).
+        # Report that completion exactly: a crash between it and the core
+        # observing it still recovers the transaction.
+        return self._core.wcb.flush(self.now)
 
-        # Redo protocol (redo-clwb): full redo log (incl. commit record)
-        # durable is the commit point; only then do the in-place stores
-        # start.  The post-transaction clwbs are posted, not fenced — the
-        # redo log already guarantees recoverability of the in-place data.
-        physical = self._machine.registers.physical_txid(txid)
-        placed = self._machine.swlog.commit(txid, self.tid)
-        self._pm.golden.stage(self.tid, physical, self._writes)
-        self._emit_log(placed, "commit")
-        self._machine.execute(core, Fence())
+    def _sw_redo_commit(self, txid: int) -> float:
+        """Redo protocol (redo-clwb): the full redo log (incl. commit
+        record) durable is the commit point; only then do the in-place
+        stores start.  The post-transaction clwbs are posted, not fenced
+        — the redo log already guarantees recoverability of the in-place
+        data."""
+        self._log_commit_record(txid)
+        self._fence()
         # The commit point is the instant the commit record became
         # durable (recovery redoes any fully-logged transaction whose
         # commit record survived), not the later fence retirement.
-        durable = self._machine.cores[core].wcb.last_completion
-        self._machine.execute(
-            core, TxCommit(txid=txid, tid=self.tid, overhead_instrs=overhead)
-        )
+        durable = self._core.wcb.last_completion
+        self._tx_commit_op(txid, self._commit_overhead)
         for addr, piece in self._overlay.items():
-            self._machine.execute(core, Store(addr, piece))
-        if policy.uses_clwb_at_commit:
-            for line in sorted(self._write_lines):
-                self._machine.execute(core, CLWB(line))
+            self._store(addr, piece)
+        if self._clwb_at_commit:
+            self._clwb_write_set()
         return durable
 
     # ------------------------------------------------------------------
+    # Core operations shared by the lowerings
+    # ------------------------------------------------------------------
+    def _stage(self, txid: int) -> None:
+        """Mark the transaction in doubt (see :meth:`GoldenModel.stage`)."""
+        self._pm.golden.stage(
+            self.tid, self._machine.registers.physical_txid(txid), self._writes
+        )
+
+    def _log_commit_record(self, txid: int) -> None:
+        """Append and issue the software commit record, staging first."""
+        self._stage(txid)
+        self._emit_log(self._machine.swlog.commit(txid, self.tid), "commit")
+
+    def _tx_commit_op(self, txid: int, overhead: int) -> Optional[float]:
+        """The core's commit op; returns the HWL durability time, if any."""
+        machine = self._machine
+        core = self._core
+        machine.before_op(core)
+        durable = core.exec_tx_commit(txid, self.tid, overhead)
+        tracer = machine.tracer
+        if tracer is not None:
+            tracer.emit(
+                core.time,
+                "tx_commit",
+                self.core_id,
+                txid=txid,
+                tid=self.tid,
+                durable=float(durable) if isinstance(durable, float) else None,
+            )
+        machine.after_op(core)
+        return durable
+
+    def _store(self, addr: int, piece: bytes) -> None:
+        """A plain (non-logged) cacheable store."""
+        machine = self._machine
+        core = self._core
+        machine.before_op(core)
+        core.exec_store(addr, piece)
+        machine.after_op(core)
+
+    def _fence(self) -> None:
+        machine = self._machine
+        core = self._core
+        machine.before_op(core)
+        core.exec_fence()
+        machine.after_op(core)
+
+    def _clwb_write_set(self) -> None:
+        """Post a clwb for every line the transaction wrote, in order."""
+        machine = self._machine
+        core = self._core
+        for line in sorted(self._write_lines):
+            machine.before_op(core)
+            core.exec_clwb(line)
+            machine.after_op(core)
+
     def _emit_log(self, placed: PlacedRecord, kind: str) -> None:
         """Issue the uncacheable store for a placed software log record."""
         machine = self._machine
+        core = self._core
         displaced_dirty = False
         force_completion = None
         if placed.displaced_line is not None and machine.hierarchy.is_line_dirty(
             placed.displaced_line
         ):
             displaced_dirty = True
-            if self._policy.protects_log_wrap:
-                completion = machine.force_line_durable(
-                    placed.displaced_line, self.now
-                )
+            if self._protects_wrap:
+                completion = machine.force_line_durable(placed.displaced_line, core.time)
                 force_completion = completion
                 # The overwriting record must not become durable before
                 # the displaced data line (a crash in between would lose
                 # the only durable copy of that line's committed value),
                 # so the log store stalls until the force completes —
                 # the same ordering HWL._append enforces in hardware.
-                core = machine.cores[self.core_id]
                 if completion > core.time:
                     core.time = completion
         tracer = machine.tracer
         if tracer is not None:
             record = LogRecord.decode(placed.payload)
             tracer.emit(
-                self.now,
+                core.time,
                 "log_place",
                 self.core_id,
                 kind=record.kind.name,
@@ -481,9 +559,9 @@ class ThreadAPI:
                 force_completion=force_completion,
                 release=None,
             )
-        machine.execute(
-            self.core_id, LogStore(placed.addr, placed.payload, kind)
-        )
+        machine.before_op(core)
+        core.exec_logstore(placed.addr, placed.payload)
+        machine.after_op(core)
 
     def _patch_overlay(self, addr: int, out: bytearray) -> None:
         """Apply the redo write-set overlay to a read result."""

@@ -1,24 +1,29 @@
 """Execution-engine guarantees beyond raw stats equivalence.
 
-* the via-API replay engine reproduces the **full tracer event stream**
-  of an interpreted run (time, kind, core, detail — not just counters),
-  so every tracer consumer (psan included) sees identical input;
+* replay reproduces the **full tracer event stream** of an interpreted
+  run (time, kind, core, detail — not just counters), so every tracer
+  consumer (psan included) sees identical input;
 * the persistency-ordering sanitizer reaches the same verdicts (and the
   same diagnostics) over the compiled path;
-* the numpy and stdlib derive paths compute identical columns;
+* an untraced replay leaves the same final NVRAM image and the same
+  golden model as the interpreter, and an event-indexed fault monitor
+  crashes both at the same cycle with the same surviving image;
 * the trace codec and pickling round-trip without changing replay
   behaviour.
 """
 
 import dataclasses
+import hashlib
 import pickle
 
 import pytest
 
-from repro.core.design import CANONICAL_DESIGNS, FWB, HWL, UNSAFE_BASE
+from repro.core.design import CANONICAL_DESIGNS, FWB, HWL, UNDO_CLWB, UNSAFE_BASE
+from repro.errors import SimulatedCrash
+from repro.faults.crashpoints import CrashPoint, EventKind, FaultMonitor
 from repro.harness.runner import RunConfig, prepare_workload, run_workload
 from repro.sanitizer.checker import PersistOrderChecker
-from repro.sim.ctrace import CompiledTrace, numpy_available
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.replay import compile_trace, run_compiled
 from repro.sim.trace import Tracer
 from repro.workloads.hashtable import HashTableWorkload
@@ -109,16 +114,65 @@ class TestEventStreams:
         ]
 
 
-class TestDerivedColumns:
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_matches_stdlib(self, trace):
-        line_size = 64
-        trace.derive(line_size, use_numpy=True)
-        with_numpy = [list(col.read_line) for col in trace.thread_cols]
-        trace.derive(line_size, use_numpy=False)
-        stdlib = [list(col.read_line) for col in trace.thread_cols]
-        assert with_numpy == stdlib
-        assert any(any(line >= 0 for line in lines) for lines in stdlib)
+def _image_digest(machine):
+    nvram = machine.nvram
+    return hashlib.sha256(nvram.peek(0, machine.config.nvram.size_bytes)).hexdigest()
+
+
+def _run(runner, prepared, trace, design, hook=None):
+    config = _config(design, prepared.system)
+    if runner == "interpret":
+        return run_workload(prepared.workload, config, prepared=prepared, machine_hook=hook)
+    return run_compiled(trace, config, machine_hook=hook)
+
+
+class TestUntracedEquivalence:
+    @pytest.mark.parametrize("design", CANONICAL_DESIGNS, ids=lambda d: d.name)
+    def test_image_and_golden_identical(self, prepared, trace, design):
+        results = []
+        for runner in ("interpret", "replay"):
+            outcome = _run(runner, prepared, trace, design)
+            results.append(
+                (
+                    dataclasses.asdict(outcome.stats),
+                    _image_digest(outcome.machine),
+                    outcome.pm.golden.commits,
+                )
+            )
+        (stats_a, image_a, golden_a), (stats_b, image_b, golden_b) = results
+        assert stats_a == stats_b
+        assert image_a == image_b
+        assert len(golden_a) == THREADS * TXNS
+        assert golden_a == golden_b
+
+
+class TestCrashThroughReplay:
+    @pytest.mark.parametrize("design", [HWL, UNDO_CLWB], ids=lambda d: d.name)
+    @pytest.mark.parametrize("kind", [EventKind.RETIRE, EventKind.LOG_DRAIN])
+    def test_same_crash_cycle_and_image(self, prepared, trace, design, kind):
+        profile = FaultMonitor()
+
+        def attach_profile(machine):
+            machine.fault_monitor = profile
+
+        _run("interpret", prepared, trace, design, attach_profile)
+        index = profile.counts[kind] // 2
+        assert index > 0
+
+        crashes = []
+        for runner in ("interpret", "replay"):
+            holder = {}
+
+            def attach(machine):
+                machine.fault_monitor = FaultMonitor(CrashPoint(kind, index))
+                holder["machine"] = machine
+
+            with pytest.raises(SimulatedCrash) as raised:
+                _run(runner, prepared, trace, design, attach)
+            machine = holder["machine"]
+            crash_time = machine.crash_at_point(raised.value)
+            crashes.append((crash_time, _image_digest(machine)))
+        assert crashes[0] == crashes[1]
 
 
 class TestCodec:

@@ -72,8 +72,7 @@ class TestMicroOps:
 
     def test_tx_commit_defaults(self):
         op = TxCommit(txid=5)
-        assert not op.wait_for_durability
-        assert op.writeback_lines == ()
+        assert op.tid == 0 and op.overhead_instrs == 0
 
     def test_load_default_word(self):
         assert Load(0).size == 8
