@@ -38,7 +38,7 @@ from ..faults.campaign import (
     default_campaign_system,
 )
 from ..faults.crashpoints import CrashPoint, EventKind, FaultMonitor
-from ..harness.runner import PreparedWorkload, prepare_workload
+from ..harness.runner import PreparedWorkload, RunConfig, _build_run, prepare_workload
 from ..sim.config import SystemConfig
 from ..sim.machine import Machine
 from ..txn.runtime import PersistentMemory
@@ -160,13 +160,12 @@ def _run_with_switch(
     ``switch_at_txns`` commits — generators yield only between
     transactions, so the machine is quiescent there by construction.
     """
-    machine = Machine(prepared.system, old)
-    machine.fault_monitor = monitor
-    pm = PersistentMemory(machine)
-    workload = prepared.workload
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    workload.attach(pm)
+    def hook(machine: Machine) -> None:
+        machine.fault_monitor = monitor
+
+    machine, pm, workload = _build_run(
+        prepared.workload, RunConfig(old, threads, txns_per_thread), prepared, hook
+    )
     apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
     generators = [
         workload.thread_body(apis[tid], tid, txns_per_thread)

@@ -326,7 +326,6 @@ def compile_replay(quick: bool, timer: BenchTimer) -> dict:
                     threads=threads,
                     txns_per_thread=txns,
                     system=prepared.system,
-                    seed=11,
                 ),
             )
             stats = outcome.stats
@@ -384,7 +383,6 @@ def pstatic_matrix(quick: bool, timer: BenchTimer) -> dict:
                     threads=threads,
                     txns_per_thread=txns,
                     system=prepared.system,
-                    seed=11,
                 ),
                 machine_hook=hook,
             )
@@ -557,7 +555,7 @@ def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
 
     from ..core.design import resolve_design
     from ..faults.campaign import campaign_workload
-    from ..harness.runner import prepare_workload
+    from ..harness.runner import RunConfig, _build_run, prepare_workload
 
     cycle_specs = [
         resolve_design(name)
@@ -575,14 +573,15 @@ def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
     system = _tiny_system(logging=LoggingConfig(log_entries=256))
     workload = campaign_workload("hash", 7)
     prepared = prepare_workload(workload, system)
-    machine = Machine(system, resolve_design("hw+undo+redo+nowb"))
-    pm = PersistentMemory(machine)
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    prepared.workload.attach(pm)
+    machine, pm, workload = _build_run(
+        workload,
+        RunConfig(resolve_design("hw+undo+redo+nowb"), threads, txns_per_thread),
+        prepared,
+        None,
+    )
     apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
     generators = [
-        prepared.workload.thread_body(apis[tid], tid, txns_per_thread)
+        workload.thread_body(apis[tid], tid, txns_per_thread)
         for tid in range(threads)
     ]
     with timer.timed():

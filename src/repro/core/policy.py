@@ -1,141 +1,12 @@
-"""Deprecated alias layer: the eight paper designs as an enum.
+"""The design order the microbenchmark figures sweep.
 
-The persistence designs are modelled by :mod:`repro.core.design` as
-compositions of orthogonal mechanisms (:class:`~repro.core.design.DesignSpec`);
-this module keeps the historical :class:`Policy` enum alive as a thin
-alias so external call sites keep working.  Every structural property
-delegates to the member's canonical spec, and members hash/compare equal
-to that spec, so a dict keyed by specs can be probed with enum members
-and vice versa.
-
-New code should use :mod:`repro.core.design` directly.
-
-========== =====================================================
-name       meaning
-========== =====================================================
-non-pers   NVRAM as plain working memory; no persistence at all
-           (the paper's ideal-but-unachievable upper bound)
-unsafe-base software logging without forced write-backs; *no*
-           persistence guarantee
-redo-clwb  software redo logging + clwb after transactions
-undo-clwb  software undo logging + clwb before commit
-hw-rlog    hardware redo-only logging, no persistence guarantee
-hw-ulog    hardware undo-only logging, no persistence guarantee
-hwl        this paper's hardware undo+redo logging, still using
-           clwb to force write-backs
-fwb        the full design: HWL plus the hardware cache
-           force-write-back mechanism
-========== =====================================================
+All eight paper designs, in the order its figures present them (the
+canonical :mod:`repro.core.design` registry order).
 """
 
 from __future__ import annotations
 
-import enum
+from .design import CANONICAL_DESIGNS
 
-from .design import DESIGNS, DesignSpec
-
-
-class Policy(enum.Enum):
-    """Persistence design evaluated by the paper (deprecated alias).
-
-    Each member is a named handle on a canonical
-    :class:`~repro.core.design.DesignSpec`; all predicates are derived
-    from the spec's mechanism fields.
-    """
-
-    NON_PERS = "non-pers"
-    UNSAFE_BASE = "unsafe-base"
-    REDO_CLWB = "redo-clwb"
-    UNDO_CLWB = "undo-clwb"
-    HW_RLOG = "hw-rlog"
-    HW_ULOG = "hw-ulog"
-    HWL = "hwl"
-    FWB = "fwb"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Policy):
-            return self is other
-        if isinstance(other, DesignSpec):
-            return self.design == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Hash like the canonical spec so dicts keyed by DesignSpec can
-        # be probed with Policy members (and the reverse).
-        return hash(self.design)
-
-    @property
-    def design(self) -> DesignSpec:
-        """The canonical :class:`~repro.core.design.DesignSpec`."""
-        return DESIGNS.get(self.value)
-
-    @classmethod
-    def from_name(cls, name: str) -> "Policy":
-        """Look a policy up by its paper name (e.g. ``"fwb"``).
-
-        Unknown names raise ``ValueError`` with "did you mean"
-        suggestions from the design registry.
-        """
-        policy = _BY_NAME.get(name)
-        if policy is None:
-            DESIGNS.get(name)  # raises with suggestions
-            raise ValueError(f"unknown policy {name!r}")  # pragma: no cover
-        return policy
-
-    # ------------------------------------------------------------------
-    # Structural properties (all delegated to the canonical spec)
-    # ------------------------------------------------------------------
-    @property
-    def uses_hw_logging(self) -> bool:
-        """True when the HWL engine generates log records in hardware."""
-        return self.design.uses_hw_logging
-
-    @property
-    def uses_sw_logging(self) -> bool:
-        """True when logging executes as instructions in the pipeline."""
-        return self.design.uses_sw_logging
-
-    @property
-    def logs_undo(self) -> bool:
-        """True when old values are logged."""
-        return self.design.logs_undo
-
-    @property
-    def logs_redo(self) -> bool:
-        """True when new values are logged."""
-        return self.design.logs_redo
-
-    @property
-    def uses_clwb_at_commit(self) -> bool:
-        """True when transactions issue clwb over their write set."""
-        return self.design.uses_clwb_at_commit
-
-    @property
-    def uses_fwb(self) -> bool:
-        """True when the hardware FWB scanner is active."""
-        return self.design.uses_fwb
-
-    @property
-    def defers_in_place_stores(self) -> bool:
-        """Software redo logging: in-place stores wait for log completion
-        (the Figure 1(b) memory barrier)."""
-        return self.design.defers_in_place_stores
-
-    @property
-    def persistence_guaranteed(self) -> bool:
-        """True when a crash at any instant is recoverable."""
-        return self.design.persistence_guaranteed
-
-    @property
-    def protects_log_wrap(self) -> bool:
-        """True when overwriting a log entry forces its data line durable."""
-        return self.design.protects_log_wrap
-
-
-_BY_NAME = {policy.value: policy for policy in Policy}
-
-MICROBENCH_POLICIES = tuple(Policy)
+MICROBENCH_POLICIES = CANONICAL_DESIGNS
 """All eight designs, in the order the paper's figures present them."""

@@ -30,9 +30,8 @@ to the image after a single uninterrupted recovery.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.design import (
     FWB,
@@ -49,7 +48,8 @@ from ..core.design import (
 from ..core.nvlog import CircularLog
 from ..core.recovery import RecoveryManager
 from ..errors import RecoveryInterrupted, SimulatedCrash, WorkloadError
-from ..harness.runner import PreparedWorkload, prepare_workload
+from ..harness.runner import PreparedWorkload, RunConfig, _build_run, prepare_workload
+from ..sched.shard import ShardMachine
 from ..sim.config import (
     CacheConfig,
     CoreConfig,
@@ -301,23 +301,6 @@ def enumerate_points(
 # ----------------------------------------------------------------------
 # Single-point execution
 # ----------------------------------------------------------------------
-def _drive(machine: Machine, generators: Sequence) -> None:
-    """Advance generators fairly (laggard core first) until exhausted.
-
-    A :class:`~repro.errors.SimulatedCrash` from an armed fault monitor
-    propagates to the caller.
-    """
-    ready = [(machine.core_time(tid), tid) for tid in range(len(generators))]
-    heapq.heapify(ready)
-    while ready:
-        _, tid = heapq.heappop(ready)
-        try:
-            next(generators[tid])
-        except StopIteration:
-            continue
-        heapq.heappush(ready, (machine.core_time(tid), tid))
-
-
 def _fresh_run(
     prepared: PreparedWorkload,
     policy: DesignSpec,
@@ -326,22 +309,29 @@ def _fresh_run(
     monitor: Optional[FaultMonitor],
     injector: Optional[FaultInjector] = None,
 ) -> Tuple[Machine, PersistentMemory, Optional[SimulatedCrash]]:
-    """Run the prepared workload under ``policy`` until completion or crash."""
-    machine = Machine(prepared.system, policy)
-    machine.fault_monitor = monitor
-    if injector is not None:
-        machine.nvram.injector = injector
-    pm = PersistentMemory(machine)
-    workload = prepared.workload
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    workload.attach(pm)
-    generators = [
-        workload.thread_body(pm.api(core_id=tid, tid=tid), tid, txns_per_thread)
-        for tid in range(threads)
-    ]
+    """Run the prepared workload under ``policy`` until completion or crash.
+
+    The run is built and driven like any other (``_build_run`` and a
+    batch :class:`~repro.sched.shard.ShardMachine`); a
+    :class:`~repro.errors.SimulatedCrash` from the armed fault monitor
+    stops it where it stands.
+    """
+
+    def hook(machine: Machine) -> None:
+        machine.fault_monitor = monitor
+        if injector is not None:
+            machine.nvram.injector = injector
+
+    machine, pm, workload = _build_run(
+        prepared.workload,
+        RunConfig(policy, threads, txns_per_thread),
+        prepared,
+        hook,
+    )
+    shard = ShardMachine(machine, pm, workload, threads=threads)
+    shard.start_batch(txns_per_thread)
     try:
-        _drive(machine, generators)
+        shard.drain()
     except SimulatedCrash as crash:
         return machine, pm, crash
     return machine, pm, None

@@ -48,7 +48,7 @@ import os
 import sys
 import zlib
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.design import resolve_design
 from ..sim.config import SystemConfig
@@ -148,9 +148,8 @@ class SweepCache:
     ) -> str:
         """Content hash of everything that determines a cell's stats.
 
-        ``policy`` is anything design-shaped (spec, legacy enum member,
-        or string); the hash covers its mechanism fields, never its
-        display name.
+        ``policy`` is a spec or a design string; the hash covers its
+        mechanism fields, never its display name.
         """
         material = {
             "salt": self.salt,
@@ -478,6 +477,31 @@ def shared_trace_cache() -> TraceCache:
     if _SHARED_TRACE_CACHE is None:
         _SHARED_TRACE_CACHE = TraceCache()
     return _SHARED_TRACE_CACHE
+
+
+def fetch_trace(
+    workload: Workload,
+    system: SystemConfig,
+    threads: int,
+    txns_per_thread: int,
+    prepare: Callable[[], object],
+):
+    """The compiled trace of one ``(workload, threads)`` cell.
+
+    Served from the shared trace cache, or compiled from ``prepare()``
+    (a :class:`~repro.harness.runner.PreparedWorkload`, built only on a
+    miss) and stored.  Every trace consumer fetches through here, so one
+    compile serves the sweep, psan and pstatic alike.
+    """
+    from ..sim.replay import compile_trace
+
+    cache = shared_trace_cache()
+    key = cache.key(system, workload, threads, txns_per_thread)
+    trace = cache.get(key)
+    if trace is None:
+        trace = compile_trace(prepare(), threads, txns_per_thread)
+        cache.put(key, trace)
+    return trace
 
 
 def peek_trace_cache() -> Optional[TraceCache]:

@@ -253,7 +253,6 @@ def figure11a_log_buffer(
                 threads=1,
                 txns_per_thread=txns_per_thread,
                 system=cfg,
-                seed=seed,
             ),
         )
         throughputs[size] = outcome.stats.throughput

@@ -98,7 +98,7 @@ def _init_worker(prepared_map: Dict[str, object]) -> None:
     _WORKER_PREPARED = prepared_map
 
 
-def _apply_test_fault(benchmark: str, threads: int, policy) -> None:
+def _apply_test_fault(cell: "SweepCell") -> None:
     """Deterministic worker-fault hook, armed only via environment.
 
     When ``REPRO_SWEEP_FAULT_DIR`` names a directory, a file
@@ -113,7 +113,7 @@ def _apply_test_fault(benchmark: str, threads: int, policy) -> None:
     root = os.environ.get(ENV_FAULT_DIR)
     if not root:
         return
-    name = f"{benchmark}-{threads}-{getattr(policy, 'value', policy)}"
+    name = f"{cell.benchmark}-{cell.threads}-{cell.policy.value}"
     kill = os.path.join(root, f"kill-{name}")
     if os.path.exists(kill):
         try:
@@ -149,114 +149,54 @@ def _finish_psan(holder: dict, stats: MachineStats, benchmark: str, threads: int
     stats.psan_report = report
 
 
-def _run_cell(
-    benchmark: str,
-    threads: int,
-    policy,
-    txns_per_thread: int,
-    seed: int,
-    psan: bool = False,
-) -> MachineStats:
-    """Run one sweep cell in a worker process; returns its stats.
+def cell_entry(prepared_map: Dict[str, object], cell: "SweepCell"):
+    """The shipped entry a cell runs from: its compiled trace, shipped
+    under ``trace:<benchmark>@<threads>`` as a ``(system, trace)`` pair,
+    or else its benchmark's prepared workload."""
+    entry = prepared_map.get(f"trace:{cell.benchmark}@{cell.threads}")
+    return prepared_map[cell.benchmark] if entry is None else entry
 
-    The sweep ships compiled traces under ``trace:<benchmark>@<threads>``
-    keys (as ``(system, trace)`` pairs) alongside any prepared workloads;
-    a cell with a trace replays it (bit-identical stats, far cheaper) and
-    falls back to interpreting the prepared workload otherwise.
+
+def run_cell(
+    entry, cell: "SweepCell", txns_per_thread: int, psan: bool = False
+) -> MachineStats:
+    """Run one sweep cell from its shipped entry; returns its stats.
+
+    A ``(system, trace)`` entry replays the trace (bit-identical stats,
+    far cheaper); a :class:`PreparedWorkload` entry interprets the
+    workload from its snapshot.  The finished machine's NVRAM buffer is
+    recycled, saving an allocate+zero of the full device for the next
+    cell.  Worker processes, the serial sweep and the serial fallback
+    all run cells through here.
     """
-    _apply_test_fault(benchmark, threads, policy)
     holder: dict = {}
     hook = _psan_hook(holder) if psan else None
-    entry = _WORKER_PREPARED.get(f"trace:{benchmark}@{threads}")
-    if entry is not None:
+    if isinstance(entry, PreparedWorkload):
+        outcome = run_workload(
+            entry.workload,
+            RunConfig(cell.policy, cell.threads, txns_per_thread, entry.system),
+            prepared=entry,
+            machine_hook=hook,
+        )
+    else:
         from ..sim.replay import run_compiled
 
         system, trace = entry
         outcome = run_compiled(
             trace,
-            RunConfig(
-                policy=policy,
-                threads=threads,
-                txns_per_thread=txns_per_thread,
-                system=system,
-                seed=seed,
-            ),
+            RunConfig(cell.policy, cell.threads, txns_per_thread, system),
             machine_hook=hook,
         )
-    else:
-        prepared = _WORKER_PREPARED[benchmark]
-        outcome = run_workload(
-            prepared.workload,
-            RunConfig(
-                policy=policy,
-                threads=threads,
-                txns_per_thread=txns_per_thread,
-                system=prepared.system,
-                seed=seed,
-            ),
-            prepared=prepared,
-            machine_hook=hook,
-        )
-    outcome.machine.nvram.recycle()
-    if psan:
-        _finish_psan(holder, outcome.stats, benchmark, threads)
-    return outcome.stats
-
-
-def _run_cell_inline(
-    prepared: PreparedWorkload,
-    cell: "SweepCell",
-    txns_per_thread: int,
-    seed: int,
-    psan: bool = False,
-) -> MachineStats:
-    """Serial fallback: run one cell in the driver process."""
-    holder: dict = {}
-    outcome = run_workload(
-        prepared.workload,
-        RunConfig(
-            policy=cell.policy,
-            threads=cell.threads,
-            txns_per_thread=txns_per_thread,
-            system=prepared.system,
-            seed=seed,
-        ),
-        prepared=prepared,
-        machine_hook=_psan_hook(holder) if psan else None,
-    )
     outcome.machine.nvram.recycle()
     if psan:
         _finish_psan(holder, outcome.stats, cell.benchmark, cell.threads)
     return outcome.stats
 
 
-def _run_trace_inline(
-    trace,
-    system,
-    cell: "SweepCell",
-    txns_per_thread: int,
-    seed: int,
-    psan: bool = False,
-) -> MachineStats:
-    """Serial trace replay of one cell in the driver process."""
-    from ..sim.replay import run_compiled
-
-    holder: dict = {}
-    outcome = run_compiled(
-        trace,
-        RunConfig(
-            policy=cell.policy,
-            threads=cell.threads,
-            txns_per_thread=txns_per_thread,
-            system=system,
-            seed=seed,
-        ),
-        machine_hook=_psan_hook(holder) if psan else None,
-    )
-    outcome.machine.nvram.recycle()
-    if psan:
-        _finish_psan(holder, outcome.stats, cell.benchmark, cell.threads)
-    return outcome.stats
+def _run_cell(cell: "SweepCell", txns_per_thread: int, psan: bool) -> MachineStats:
+    """Worker-process entry: run one cell from the worker's shipped map."""
+    _apply_test_fault(cell)
+    return run_cell(cell_entry(_WORKER_PREPARED, cell), cell, txns_per_thread, psan)
 
 
 def default_jobs(cells: int) -> int:
@@ -284,7 +224,6 @@ def _parallel_round(
     prepared_map: Dict[str, object],
     cells: List["SweepCell"],
     txns_per_thread: int,
-    seed: int,
     jobs: int,
     cell_timeout: Optional[float],
     health: SweepHealth,
@@ -302,15 +241,7 @@ def _parallel_round(
         futures: List[Tuple["SweepCell", object]] = [
             (
                 cell,
-                pool.submit(
-                    _run_cell,
-                    cell.benchmark,
-                    cell.threads,
-                    cell.policy,
-                    txns_per_thread,
-                    seed,
-                    psan,
-                ),
+                pool.submit(_run_cell, cell, txns_per_thread, psan),
             )
             for cell in cells
         ]
@@ -340,7 +271,6 @@ def run_cells_parallel(
     prepared_map: Dict[str, object],
     cells: Iterable["SweepCell"],
     txns_per_thread: int,
-    seed: int,
     jobs: int,
     cell_timeout: Optional[float] = None,
     max_retries: int = 2,
@@ -379,7 +309,6 @@ def run_cells_parallel(
             prepared_map,
             remaining,
             txns_per_thread,
-            seed,
             jobs,
             cell_timeout,
             health,
@@ -390,14 +319,7 @@ def run_cells_parallel(
     # Last resort: no pool machinery between us and the result.
     for cell in remaining:
         health.serial_fallback_cells += 1
-        entry = prepared_map.get(f"trace:{cell.benchmark}@{cell.threads}")
-        if entry is not None:
-            system, trace = entry
-            results[cell] = _run_trace_inline(
-                trace, system, cell, txns_per_thread, seed, psan
-            )
-        else:
-            results[cell] = _run_cell_inline(
-                prepared_map[cell.benchmark], cell, txns_per_thread, seed, psan
-            )
+        results[cell] = run_cell(
+            cell_entry(prepared_map, cell), cell, txns_per_thread, psan
+        )
     return results

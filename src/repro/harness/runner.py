@@ -45,16 +45,14 @@ def default_experiment_config(**overrides) -> SystemConfig:
 class RunConfig:
     """Parameters of one simulated run.
 
-    ``policy`` accepts anything design-shaped (a
-    :class:`~repro.core.design.DesignSpec`, a legacy ``Policy`` member,
-    or a name / mechanism string) and normalizes to the spec.
+    ``policy`` accepts a :class:`~repro.core.design.DesignSpec` or a
+    name / mechanism string and normalizes to the spec.
     """
 
     policy: DesignSpec
     threads: int = 1
     txns_per_thread: int = 200
     system: Optional[SystemConfig] = None
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if not isinstance(self.policy, DesignSpec):
@@ -88,10 +86,6 @@ class PreparedWorkload:
     def image(self) -> bytes:
         """The full initial NVRAM image (reconstructed; test/debug use)."""
         return self.image_prefix + bytes(self.image_size - len(self.image_prefix))
-
-    def restore_into(self, machine: Machine) -> None:
-        """Copy the prepared image into ``machine``'s (zeroed) NVRAM."""
-        machine.nvram.load_image_prefix(self.image_prefix)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -156,6 +150,9 @@ def _build_run(
 ):
     """Shared run construction: machine, memory, and a ready workload.
 
+    The one snapshot restore: batch runs, trace replay, fault points,
+    serve and drift shards and the mid-run-switch loops all build
+    their machines here, so every cell starts from the same image.
     With ``prepared``, the setup phase is skipped and the prepared NVRAM
     image and heap state are restored instead (the workload must have the
     same identity key as the prepared one; see
@@ -191,7 +188,7 @@ def _build_run(
         # (layout addresses, resident sets); run that one even if the
         # caller passed an equivalent fresh instance.
         workload = prepared.workload
-        prepared.restore_into(machine)
+        machine.nvram.load_image_prefix(prepared.image_prefix)
         pm.heap.restore(prepared.heap_state)
         workload.attach(pm)
     else:

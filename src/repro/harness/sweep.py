@@ -28,6 +28,7 @@ cold serial sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, Optional
 
 from ..core.design import DesignSpec, canonical_order, resolve_design
@@ -36,7 +37,7 @@ from ..sim.config import SystemConfig
 from ..sim.stats import MachineStats
 from ..workloads import make_microbenchmark
 from ..workloads.base import Workload
-from .cache import SweepCache, shared_trace_cache, trace_enabled
+from .cache import SweepCache, fetch_trace, trace_enabled
 from .runner import default_experiment_config, prepare_workload
 
 
@@ -44,10 +45,9 @@ from .runner import default_experiment_config, prepare_workload
 class SweepCell:
     """One point in the sweep matrix.
 
-    ``policy`` accepts anything design-shaped — a
-    :class:`~repro.core.design.DesignSpec`, a legacy ``Policy`` member,
-    or a name / mechanism string — and normalizes to the spec, so cells
-    built from either representation compare and hash identically.
+    ``policy`` accepts a :class:`~repro.core.design.DesignSpec` or a
+    name / mechanism string and normalizes to the spec, so cells built
+    from either representation compare and hash identically.
     """
 
     benchmark: str
@@ -189,86 +189,56 @@ def run_micro_sweep(
         for cell in pending:
             needed_threads.setdefault(cell.benchmark, set()).add(cell.threads)
 
-        trace_cache = shared_trace_cache() if trace_enabled() else None
+        use_traces = trace_enabled()
         prepared: Dict[str, object] = {}
-        traces: Dict[tuple, object] = {}
 
         def _prepared_for(benchmark: str):
             if benchmark not in prepared:
                 prepared[benchmark] = prepare_workload(workloads[benchmark], system)
             return prepared[benchmark]
 
+        # The shipped map every cell runs from (see
+        # repro.harness.parallel.cell_entry): compiled traces keyed
+        # ``trace:<benchmark>@<threads>``, and a prepared snapshot only
+        # for benchmarks with interpreted cells.
+        shipping: Dict[str, object] = {}
         for benchmark, thread_counts in needed_threads.items():
             workload = workloads[benchmark]
-            if trace_cache is not None and getattr(workload, "trace_compilable", False):
-                from ..sim.replay import compile_trace
-
+            if use_traces and getattr(workload, "trace_compilable", False):
                 for nthreads in sorted(thread_counts):
-                    trace_key = trace_cache.key(
-                        resolved_system, workload, nthreads, txns_per_thread
+                    trace = fetch_trace(
+                        workload,
+                        resolved_system,
+                        nthreads,
+                        txns_per_thread,
+                        partial(_prepared_for, benchmark),
                     )
-                    trace = trace_cache.get(trace_key)
-                    if trace is None:
-                        trace = compile_trace(
-                            _prepared_for(benchmark), nthreads, txns_per_thread
-                        )
-                        trace_cache.put(trace_key, trace)
-                    traces[(benchmark, nthreads)] = trace
+                    shipping[f"trace:{benchmark}@{nthreads}"] = (resolved_system, trace)
             else:
-                _prepared_for(benchmark)
+                shipping[benchmark] = _prepared_for(benchmark)
 
+        psan = psan_report is not None
         if jobs > 1:
             from .parallel import run_cells_parallel
 
-            # Ship compiled traces to the pool workers; a prepared
-            # snapshot rides along only for benchmarks with interpreted
-            # cells.
-            traced_benchmarks = {benchmark for benchmark, _ in traces}
-            shipping: Dict[str, object] = {
-                benchmark: prepared[benchmark]
-                for benchmark in needed_threads
-                if benchmark not in traced_benchmarks
-            }
-            for (benchmark, nthreads), trace in traces.items():
-                shipping[f"trace:{benchmark}@{nthreads}"] = (resolved_system, trace)
             fresh = run_cells_parallel(
                 shipping,
                 pending,
                 txns_per_thread,
-                seed,
                 jobs,
                 cell_timeout=cell_timeout,
                 max_retries=max_retries,
                 retry_backoff=retry_backoff,
                 health=health,
-                psan=psan_report is not None,
+                psan=psan,
             )
         else:
-            from .parallel import _run_cell_inline, _run_trace_inline
+            from .parallel import cell_entry, run_cell
 
-            fresh = {}
-            for cell in pending:
-                # Both inline runners recycle the finished machine's
-                # NVRAM buffer, saving an allocate+zero of the full
-                # device for the next cell.
-                trace = traces.get((cell.benchmark, cell.threads))
-                if trace is not None:
-                    fresh[cell] = _run_trace_inline(
-                        trace,
-                        resolved_system,
-                        cell,
-                        txns_per_thread,
-                        seed,
-                        psan=psan_report is not None,
-                    )
-                else:
-                    fresh[cell] = _run_cell_inline(
-                        prepared[cell.benchmark],
-                        cell,
-                        txns_per_thread,
-                        seed,
-                        psan=psan_report is not None,
-                    )
+            fresh = {
+                cell: run_cell(cell_entry(shipping, cell), cell, txns_per_thread, psan)
+                for cell in pending
+            }
         for cell, stats in fresh.items():
             collected[cell] = stats
             if cache is not None:

@@ -776,7 +776,7 @@ def run_psan(
     one decode then amortizes across the whole policy x threads matrix
     through the shared trace cache.
     """
-    from ..harness.cache import shared_trace_cache, trace_enabled
+    from ..harness.cache import fetch_trace, trace_enabled
     from ..harness.runner import RunConfig, prepare_workload, run_workload
     from ..workloads import make_microbenchmark
 
@@ -790,39 +790,22 @@ def run_psan(
         holder["checker"] = PersistOrderChecker.attach(machine, capacity=capacity)
 
     if trace_enabled() and getattr(workload, "trace_compilable", False):
-        from ..sim.replay import compile_trace, run_compiled
+        from ..sim.replay import run_compiled
 
         if prepared is None:
             prepared = prepare_workload(workload, system)
-        trace_cache = shared_trace_cache()
-        trace_key = trace_cache.key(
-            prepared.system, workload, threads, txns_per_thread
+        trace = fetch_trace(
+            workload, prepared.system, threads, txns_per_thread, lambda: prepared
         )
-        trace = trace_cache.get(trace_key)
-        if trace is None:
-            trace = compile_trace(prepared, threads, txns_per_thread)
-            trace_cache.put(trace_key, trace)
         outcome = run_compiled(
             trace,
-            RunConfig(
-                policy=policy,
-                threads=threads,
-                txns_per_thread=txns_per_thread,
-                system=prepared.system,
-                seed=seed,
-            ),
+            RunConfig(policy, threads, txns_per_thread, prepared.system),
             machine_hook=hook,
         )
     else:
         outcome = run_workload(
             workload,
-            RunConfig(
-                policy=policy,
-                threads=threads,
-                txns_per_thread=txns_per_thread,
-                system=system,
-                seed=seed,
-            ),
+            RunConfig(policy, threads, txns_per_thread, system),
             prepared=prepared,
             machine_hook=hook,
         )

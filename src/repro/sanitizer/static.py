@@ -833,9 +833,8 @@ def verify_ship_schedule(timeline) -> dict:
 # ----------------------------------------------------------------------
 def _compiled_cell(benchmark, threads, txns_per_thread, system, prepared, seed):
     """The cell's compiled trace (shared trace cache) and preparation."""
-    from ..harness.cache import shared_trace_cache
+    from ..harness.cache import fetch_trace
     from ..harness.runner import prepare_workload
-    from ..sim.replay import compile_trace
     from ..workloads import make_microbenchmark
 
     if prepared is None:
@@ -848,12 +847,9 @@ def _compiled_cell(benchmark, threads, txns_per_thread, system, prepared, seed):
             f"workload {benchmark!r} is not trace-compilable; the static "
             "verifier needs compiled op columns"
         )
-    cache = shared_trace_cache()
-    key = cache.key(prepared.system, workload, threads, txns_per_thread)
-    trace = cache.get(key)
-    if trace is None:
-        trace = compile_trace(prepared, threads, txns_per_thread)
-        cache.put(key, trace)
+    trace = fetch_trace(
+        workload, prepared.system, threads, txns_per_thread, lambda: prepared
+    )
     return trace, prepared
 
 
@@ -893,9 +889,7 @@ def _relocate(addr: Optional[int], bind: dict) -> Optional[int]:
     return base + (addr & SYM_OFF_MASK)
 
 
-def _dynamic_report_with_bind(
-    trace, policy, system, threads, txns_per_thread, seed
-):
+def _dynamic_report_with_bind(trace, policy, system, threads, txns_per_thread):
     """Replay the cell with the checker attached; returns the
     dynamic report plus the symbolic address binding."""
     from ..harness.runner import RunConfig
@@ -910,13 +904,7 @@ def _dynamic_report_with_bind(
     bind: dict = {}
     outcome = run_compiled(
         trace,
-        RunConfig(
-            policy=policy,
-            threads=threads,
-            txns_per_thread=txns_per_thread,
-            system=system,
-            seed=seed,
-        ),
+        RunConfig(policy, threads, txns_per_thread, system),
         machine_hook=hook,
         bind_out=bind,
     )
@@ -956,7 +944,7 @@ def confirm_counterexample(
         benchmark, threads, txns_per_thread, system, prepared, seed
     )
     report, bind = _dynamic_report_with_bind(
-        trace, resolve_design(policy), prepared.system, threads, txns_per_thread, seed
+        trace, resolve_design(policy), prepared.system, threads, txns_per_thread
     )
     real_addr = _relocate(cex.addr, bind)
     for diag in report.diagnostics:
@@ -1189,7 +1177,7 @@ def run_differential(
                 static = verify_trace(trace, spec, system=prepared.system, hb=hb)
                 static.benchmark = benchmark
                 dynamic, bind = _dynamic_report_with_bind(
-                    trace, spec, prepared.system, threads, txns_per_thread, seed
+                    trace, spec, prepared.system, threads, txns_per_thread
                 )
                 dynamic_fired = dynamic.rules_fired()
                 static_fired = static.rules_fired()

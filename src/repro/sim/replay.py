@@ -34,11 +34,11 @@ and ``free``, whose thread-local recycling the recorder mirrors.
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
 
 from ..errors import TransactionError, WorkloadError
 from ..utils import align_up, split_words
+from ..workloads.base import Workload
 from .ctrace import (
     K_ALLOC,
     K_COMPUTE,
@@ -54,7 +54,6 @@ from .ctrace import (
     CompiledTrace,
     sym_token,
 )
-from .machine import Machine
 
 
 # ----------------------------------------------------------------------
@@ -331,22 +330,51 @@ def _replay_thread(api, col: CompiledThread, bind: dict, line_mask: int):
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
+class _ReplayWorkload(Workload):
+    """A compiled trace posing as the workload it was recorded from.
+
+    Thread ``tid``'s body replays column ``tid`` through the thread's
+    API, so the shared runner (snapshot restore, ``ShardMachine`` drive
+    order) runs replay exactly as it runs interpretation.  The trace
+    carries no volatile run state, and setup is never run: the trace's
+    image prefix and heap state are the prepared snapshot.
+    """
+
+    def __init__(self, trace: CompiledTrace, bind: dict, line_mask: int) -> None:
+        self.trace = trace
+        self.bind = bind
+        self.line_mask = line_mask
+
+    def identity_key(self) -> tuple:
+        return self.trace.workload_key
+
+    def setup(self, pm) -> None:
+        raise WorkloadError("a compiled trace replays from its own snapshot")
+
+    def thread_body(self, api, tid: int, num_txns: int):
+        return _replay_thread(
+            api, self.trace.thread_cols[tid], self.bind, self.line_mask
+        )
+
+
 def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     """Replay ``trace`` under ``run`` (a :class:`RunConfig`); returns the
     same :class:`~repro.harness.runner.RunOutcome` as
     :func:`~repro.harness.runner.run_workload` with bit-identical stats.
 
-    ``machine_hook`` runs before replay starts, so a tracer or fault
-    monitor it attaches sees the same event stream, and the same crash
-    points, as in the interpreted run.
+    The trace runs *as* a workload through ``run_workload``: its image
+    prefix and heap state are the prepared snapshot, and its thread
+    bodies replay the columns, so the machine build and drive order are
+    the interpreter's own.  ``machine_hook`` runs before replay starts,
+    so a tracer or fault monitor it attaches sees the same event stream,
+    and the same crash points, as in the interpreted run.
 
     ``bind_out`` (a dict, filled in place) receives the symbolic
     block-id -> real-address binding the replay establishes; the static
     verifier uses it to translate a counterexample's symbolic addresses
     into the addresses the dynamic checker diagnosed.
     """
-    from ..harness.runner import RunOutcome, default_experiment_config
-    from ..txn.runtime import PersistentMemory
+    from ..harness.runner import PreparedWorkload, default_experiment_config, run_workload
 
     system = run.system or default_experiment_config()
     if run.threads != trace.threads:
@@ -358,39 +386,13 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
             f"trace was compiled for {trace.txns_per_thread} txns/thread, "
             f"run wants {run.txns_per_thread}"
         )
-    if run.threads > system.num_cores:
-        raise WorkloadError(
-            f"{run.threads} threads need {run.threads} cores, "
-            f"config has {system.num_cores}"
-        )
     if trace.derived_line_size != system.line_size:
         trace.derive(system.line_size)
 
-    machine = Machine(system, run.policy)
-    if machine_hook is not None:
-        machine_hook(machine)
-    pm = PersistentMemory(machine)
-    machine.nvram.load_image_prefix(trace.image_prefix)
-    pm.heap.restore(trace.heap_state)
-
-    bind: dict[int, int] = {} if bind_out is None else bind_out
-    line_mask = ~(system.line_size - 1)
-    generators = [
-        _replay_thread(pm.api(core_id=tid, tid=tid), trace.thread_cols[tid], bind, line_mask)
-        for tid in range(run.threads)
-    ]
-
-    # Identical scheduling to run_workload: min-heap on core clock,
-    # tie-break on thread id.
-    ready = [(machine.core_time(tid), tid) for tid in range(run.threads)]
-    heapq.heapify(ready)
-    while ready:
-        _, tid = heapq.heappop(ready)
-        try:
-            next(generators[tid])
-        except StopIteration:
-            continue
-        heapq.heappush(ready, (machine.core_time(tid), tid))
-
-    stats = machine.finalize()
-    return RunOutcome(run.policy, run.threads, stats, machine, pm)
+    workload = _ReplayWorkload(
+        trace, {} if bind_out is None else bind_out, ~(system.line_size - 1)
+    )
+    prepared = PreparedWorkload(
+        workload, system, trace.image_prefix, trace.image_size, trace.heap_state
+    )
+    return run_workload(workload, run, prepared, machine_hook)

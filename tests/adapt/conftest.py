@@ -8,9 +8,7 @@ import heapq
 
 from repro.core.design import resolve_design
 from repro.faults.campaign import campaign_workload, default_campaign_system
-from repro.harness.runner import prepare_workload
-from repro.sim.machine import Machine
-from repro.txn.runtime import PersistentMemory
+from repro.harness.runner import RunConfig, _build_run, prepare_workload
 
 
 def run_with_switches(
@@ -31,16 +29,12 @@ def run_with_switches(
     system = default_campaign_system()
     wl = campaign_workload(workload, seed)
     prepared = prepare_workload(wl, system)
-    machine = Machine(system, specs[0])
-    if machine_hook is not None:
-        machine_hook(machine)
-    pm = PersistentMemory(machine)
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    prepared.workload.attach(pm)
+    machine, pm, wl = _build_run(
+        wl, RunConfig(specs[0], threads, txns_per_thread), prepared, machine_hook
+    )
     apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
     generators = [
-        prepared.workload.thread_body(apis[tid], tid, txns_per_thread)
+        wl.thread_body(apis[tid], tid, txns_per_thread)
         for tid in range(threads)
     ]
     ready = [(machine.core_time(tid), tid) for tid in range(threads)]

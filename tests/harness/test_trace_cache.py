@@ -152,3 +152,42 @@ def test_trace_key_ignores_design(tmp_path):
     assert cache.key(system, workload, 2, 10) == cache.key(system, workload, 2, 10)
     assert cache.key(system, workload, 2, 10) != cache.key(system, workload, 4, 10)
     assert cache.key(system, workload, 2, 10) != cache.key(system, workload, 2, 20)
+
+
+def test_psan_and_pstatic_share_one_compile(tmp_path, monkeypatch):
+    """psan and pstatic on one cell fetch its trace through the shared
+    helper: the first fetch compiles, the second is a cache hit."""
+    import repro.harness.cache as cache_module
+    import repro.sim.replay as replay
+    from repro.harness.runner import prepare_workload
+    from repro.sanitizer.checker import run_psan
+    from repro.sanitizer.static import run_pstatic
+    from repro.workloads.hashtable import HashTableWorkload
+    from tests.conftest import tiny_system
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    compiles, fetches = [], []
+
+    def counting(real, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        replay, "compile_trace", counting(replay.compile_trace, compiles)
+    )
+    monkeypatch.setattr(
+        cache_module, "fetch_trace", counting(cache_module.fetch_trace, fetches)
+    )
+    # seed=4242 keeps this cell out of the process-wide memo.
+    prepared = prepare_workload(
+        HashTableWorkload(seed=4242, buckets_per_partition=16, keys_per_partition=64),
+        tiny_system(),
+    )
+    run_psan("hash", "fwb", threads=2, txns_per_thread=4, prepared=prepared)
+    run_pstatic("hash", "fwb", threads=2, txns_per_thread=4, prepared=prepared)
+    assert len(fetches) == 2
+    assert len(compiles) == 1

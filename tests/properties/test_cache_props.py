@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.design import NON_PERS
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.config import CacheConfig
-from repro import Machine, Policy
+from repro import Machine
 from repro.sim.microops import Load, Store
 from tests.conftest import tiny_system
 
@@ -70,7 +71,7 @@ class TestHierarchyFunctionalEquivalence:
     def test_hierarchy_matches_flat_memory(self, trace):
         """Loads through the hierarchy always return what a flat memory
         model would, regardless of evictions and write-backs."""
-        machine = Machine(tiny_system(), Policy.NON_PERS)
+        machine = Machine(tiny_system(), NON_PERS)
         model = {}
         for addr, value, is_store in trace:
             if is_store:
@@ -84,7 +85,7 @@ class TestHierarchyFunctionalEquivalence:
     @given(trace=accesses)
     @settings(max_examples=20, deadline=None)
     def test_flush_all_makes_nvram_match_model(self, trace):
-        machine = Machine(tiny_system(), Policy.NON_PERS)
+        machine = Machine(tiny_system(), NON_PERS)
         model = {}
         for addr, value, is_store in trace:
             if is_store:

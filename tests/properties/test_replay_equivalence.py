@@ -122,7 +122,6 @@ class TestReplayEquivalence:
                     threads=threads,
                     txns_per_thread=txns,
                     system=system,
-                    seed=seed,
                 )
                 interpreted = run_workload(
                     workload, config, prepared=prepared

@@ -3,12 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.design import FWB
 from repro.sim.config import EnergyConfig, MemCtrlConfig, NVDimmConfig
 from repro.sim.energy import EnergyModel
 from repro.sim.memctrl import MemoryController
 from repro.sim.nvram import NVRAM
 from repro.sim.stats import MachineStats
-from repro import Machine, Policy
+from repro import Machine
 from repro.sim.microops import CLWB, Compute, Fence, Load, Store
 from tests.conftest import tiny_system
 
@@ -101,7 +102,7 @@ class TestCoreClockInvariants:
     @given(trace=core_ops)
     @settings(max_examples=40, deadline=None)
     def test_core_clock_never_decreases(self, trace):
-        machine = Machine(tiny_system(), Policy.FWB)
+        machine = Machine(tiny_system(), FWB)
         machine.execute(0, Compute(1))
         last = machine.core_time(0)
         for slot, kind in trace:

@@ -8,12 +8,11 @@ from repro.core.design import DESIGNS
 from repro.errors import WorkloadError
 from repro.harness.runner import (
     RunConfig,
+    _build_run,
     prepare_workload,
     run_workload_monolithic,
 )
 from repro.sched.shard import ShardMachine
-from repro.sim.machine import Machine
-from repro.txn.runtime import PersistentMemory
 from repro.workloads.whisper import make_whisper_kernel
 from tests.conftest import tiny_system
 
@@ -30,13 +29,9 @@ def prepared_redis():
 
 
 def _shard_for(prepared, threads=2):
-    machine = Machine(prepared.system, FWB)
-    pm = PersistentMemory(machine)
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    workload = prepared.workload
-    workload.attach(pm)
-    workload.reset_run_state()
+    machine, pm, workload = _build_run(
+        prepared.workload, RunConfig(FWB, threads), prepared, None
+    )
     return ShardMachine(machine, pm, workload, threads=threads)
 
 

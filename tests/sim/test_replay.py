@@ -19,7 +19,7 @@ import pickle
 import pytest
 
 from repro.core.design import CANONICAL_DESIGNS, FWB, HWL, UNDO_CLWB, UNSAFE_BASE
-from repro.errors import SimulatedCrash
+from repro.errors import SimulatedCrash, WorkloadError
 from repro.faults.crashpoints import CrashPoint, EventKind, FaultMonitor
 from repro.harness.runner import RunConfig, prepare_workload, run_workload
 from repro.sanitizer.checker import PersistOrderChecker
@@ -52,7 +52,6 @@ def _config(design, system):
         threads=THREADS,
         txns_per_thread=TXNS,
         system=system,
-        seed=11,
     )
 
 
@@ -173,6 +172,27 @@ class TestCrashThroughReplay:
             crash_time = machine.crash_at_point(raised.value)
             crashes.append((crash_time, _image_digest(machine)))
         assert crashes[0] == crashes[1]
+
+
+class TestShapeChecks:
+    """A trace replays only at the shape it was recorded at, on a
+    machine with a core per thread."""
+
+    def test_rejects_other_thread_count(self, prepared, trace):
+        run = dataclasses.replace(_config(FWB, prepared.system), threads=1)
+        with pytest.raises(WorkloadError, match="compiled for 2 threads"):
+            run_compiled(trace, run)
+
+    def test_rejects_other_txn_count(self, prepared, trace):
+        run = dataclasses.replace(
+            _config(FWB, prepared.system), txns_per_thread=TXNS + 1
+        )
+        with pytest.raises(WorkloadError, match="compiled for 6 txns/thread"):
+            run_compiled(trace, run)
+
+    def test_rejects_more_threads_than_cores(self, trace):
+        with pytest.raises(WorkloadError, match="2 threads need 2 cores"):
+            run_compiled(trace, _config(FWB, tiny_system(num_cores=1)))
 
 
 class TestCodec:

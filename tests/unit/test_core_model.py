@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import Machine, Policy
+from repro import Machine
+from repro.core.design import FWB, NON_PERS
 from repro.errors import SimulationError
 from repro.sim.microops import CLWB, Compute, Fence, Load, LogStore, Store, TxBegin, TxCommit
 from tests.conftest import tiny_system
@@ -10,12 +11,12 @@ from tests.conftest import tiny_system
 
 @pytest.fixture
 def machine():
-    return Machine(tiny_system(), Policy.NON_PERS)
+    return Machine(tiny_system(), NON_PERS)
 
 
 @pytest.fixture
 def hw_machine():
-    return Machine(tiny_system(), Policy.FWB)
+    return Machine(tiny_system(), FWB)
 
 
 class TestCompute:

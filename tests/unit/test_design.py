@@ -1,5 +1,7 @@
 """Unit tests for repro.core.design — the composable mechanism space."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.design import (
@@ -24,7 +26,6 @@ from repro.core.design import (
     parse_design,
     resolve_design,
 )
-from repro.core.policy import Policy
 
 
 class TestSpecValidation:
@@ -122,6 +123,8 @@ class TestRegistry:
             "hwl",
             "fwb",
         }
+        for spec in CANONICAL_DESIGNS:
+            assert DESIGNS.get(spec.name) is spec
 
     def test_registered_name_wins_over_token_parse(self):
         # "fwb" is also a write-back token; the paper design must win.
@@ -136,6 +139,10 @@ class TestRegistry:
     def test_unknown_name_suggests_close_matches(self):
         with pytest.raises(ValueError, match="did you mean.*hwl"):
             DESIGNS.get("hlw")
+        with pytest.raises(ValueError, match="did you mean.*undo-clwb"):
+            DESIGNS.get("undo-clbw")
+        with pytest.raises(ValueError):
+            DESIGNS.get("nope")
 
     def test_unknown_name_mentions_composition(self):
         with pytest.raises(ValueError, match="compose one"):
@@ -153,7 +160,7 @@ class TestRegistry:
         assert list(DESIGNS) == list(CANONICAL_DESIGNS)
 
 
-# The legacy predicate truth table, straight from the Policy era.  Each
+# The predicate truth table of the paper's eight designs.  Each
 # row: (design, hw, sw, undo, redo, clwb, fwb, defers, guaranteed).
 LEGACY_TABLE = [
     (NON_PERS, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -202,26 +209,7 @@ class TestDerivedPredicates:
 
 
 class TestPolicyInterop:
-    def test_policy_equals_its_spec(self):
-        assert Policy.FWB == FWB
-        assert FWB == Policy.FWB
-        assert Policy.HWL != FWB
-
-    def test_policy_hash_matches_spec(self):
-        assert hash(Policy.FWB) == hash(FWB)
-
-    def test_dict_keyed_by_spec_probeable_with_policy(self):
-        table = {spec: spec.name for spec in CANONICAL_DESIGNS}
-        assert table[Policy.HWL] == "hwl"
-        table2 = {policy: policy.value for policy in Policy}
-        assert table2[HW_ULOG] == "hw-ulog"
-
-    def test_tuple_keys_interoperate(self):
-        data = {("hash", FWB): 1}
-        assert data[("hash", Policy.FWB)] == 1
-
-    def test_resolve_design_accepts_policy(self):
-        assert resolve_design(Policy.REDO_CLWB) is REDO_CLWB
+    """``policy`` arguments accept a spec or a design string, nothing else."""
 
     def test_resolve_design_accepts_spec_and_string(self):
         assert resolve_design(HWL) is HWL
@@ -231,6 +219,9 @@ class TestPolicyInterop:
     def test_resolve_design_rejects_garbage(self):
         with pytest.raises(TypeError):
             resolve_design(42)
+        # Objects merely carrying a spec are not designs themselves.
+        with pytest.raises(TypeError):
+            resolve_design(SimpleNamespace(design=FWB))
 
 
 class TestKeyMaterial:

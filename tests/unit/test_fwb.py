@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.core.design import FWB
 from repro.core.fwb import ForceWriteBack, required_scan_frequency, required_scan_interval
-from repro import Machine, Policy, SystemConfig
+from repro import Machine, SystemConfig
 from repro.sim.config import LoggingConfig
 from tests.conftest import tiny_system
 
 
 @pytest.fixture
 def machine():
-    return Machine(tiny_system(), Policy.FWB)
+    return Machine(tiny_system(), FWB)
 
 
 class TestScanFrequency:

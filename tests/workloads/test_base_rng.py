@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Policy
+from repro.core.design import NON_PERS
 from repro.workloads.base import SetupAccessor, Workload
 from repro.workloads.rng import ZipfGenerator, thread_rng
 from tests.conftest import make_pm
@@ -10,25 +10,25 @@ from tests.conftest import make_pm
 
 class TestSetupAccessor:
     def test_read_write_roundtrip(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         acc.write(0x2000, b"setup!")
         assert acc.read(0x2000, 6) == b"setup!"
         assert pm.machine.stats.instructions == 0  # untimed
 
     def test_compute_is_noop(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         SetupAccessor(pm).compute(1000)
         assert pm.machine.stats.instructions == 0
 
     def test_transaction_context_is_noop(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         with acc.transaction() as inner:
             assert inner is acc
 
     def test_alloc_free(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         addr = acc.alloc(32)
         acc.free(addr, 32)
@@ -49,7 +49,7 @@ class TestWorkloadBase:
         assert HashTableWorkload(value_kind="string").value_size == 96
 
     def test_word_helpers(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         Workload.write_word(acc, 0x2000, 0xDEADBEEF)
         assert Workload.read_word(acc, 0x2000) == 0xDEADBEEF
