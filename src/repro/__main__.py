@@ -70,12 +70,12 @@ import argparse
 import sys
 
 from . import SystemConfig
-from .core.design import CANONICAL_DESIGNS, DESIGNS, HW_RLOG, UNSAFE_BASE, expand_grid
+from .core.design import DESIGNS, HW_RLOG, UNSAFE_BASE, expand_grid
 from .core.lifetime import log_pass_period_seconds, log_region_lifetime_days
 from .harness import experiments
 from .harness.cache import SweepCache, cache_enabled
 from .harness.parallel import SweepHealth, default_jobs
-from .harness.runner import RunConfig, prepare_workload, run_workload
+from .harness.runner import prepare_workload
 from .harness.sweep import run_micro_sweep
 from .workloads import MICROBENCHMARKS, make_microbenchmark
 
@@ -211,20 +211,17 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    workload = make_microbenchmark(args.benchmark)
-    prepared = prepare_workload(workload)
+    result = run_micro_sweep(
+        benchmarks=(args.benchmark,),
+        threads=(args.threads,),
+        txns_per_thread=args.txns,
+        cache=None,
+    )
     print(f"{'design':12s} {'throughput':>11s} {'IPC':>7s} {'instrs':>9s} "
           f"{'NVRAM wr KB':>11s}")
-    for policy in CANONICAL_DESIGNS:
-        stats = run_workload(
-            workload,
-            RunConfig(
-                policy=policy, threads=args.threads, txns_per_thread=args.txns
-            ),
-            prepared=prepared,
-        ).stats
+    for cell, stats in result.cells.items():
         print(
-            f"{policy.value:12s} {stats.throughput:11.1f} {stats.ipc:7.3f} "
+            f"{cell.policy.value:12s} {stats.throughput:11.1f} {stats.ipc:7.3f} "
             f"{stats.instructions:9d} {stats.nvram_write_bytes / 1024:11.1f}"
         )
     return 0
@@ -752,12 +749,11 @@ def _cmd_adapt_run(args) -> int:
     import json
 
     from .adapt import DriftConfig, compare_drift
+    from .adapt.drift import drift_serve_config
 
     table = _load_policy_table(args)
     config = DriftConfig(
-        threads=args.threads,
-        seed=args.seed,
-        window_txns=args.window,
+        serve=drift_serve_config(args.threads, args.seed, args.window)
     )
     result = compare_drift(config, table=table)
     adaptive = result["adaptive"]

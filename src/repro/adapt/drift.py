@@ -21,23 +21,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterator, Optional, Tuple
 
-from ..core.design import DesignSpec, legal_switch_targets, resolve_design
+from ..core.design import legal_switch_targets, resolve_design
 from ..errors import ConfigError
-from ..harness.runner import RunConfig, _build_run, prepare_workload
-from ..sched.loop import AdmissionConfig, EventLoopScheduler
-from ..sched.serve import default_serve_config
-from ..sched.shard import ShardMachine
+from ..sched.loop import AdmissionConfig
+from ..sched.serve import ServeConfig, default_serve_config, run_serve
 from ..sched.traffic import TrafficConfig, open_loop_schedule
 from ..sim.config import LoggingConfig, SystemConfig
 from ..txn.runtime import ThreadAPI
 from ..workloads.rng import ZipfGenerator, thread_rng
-from ..workloads.whisper import make_whisper_kernel
 from ..workloads.whisper.base import MAX_PARTITIONS
 from ..workloads.whisper.ycsb import UPDATE_RATIO, YCSBKernel
-from .controller import AdaptiveController
 from .table import PolicyTable
 
 
@@ -91,22 +86,41 @@ def remap_key(key_u: float, key_lo: float, key_hi: float) -> float:
 WRITEBACK_FAMILY = ("hw+undo+redo+nowb", "hw+undo+redo+clwb", "hw+undo+redo+fwb")
 
 
-def drift_system(threads: int = 2, log_entries: int = 512) -> SystemConfig:
+def drift_system(threads: int = 2) -> SystemConfig:
     """The serve-scale system with a log ring small enough to wrap.
 
     Wrap pressure is the drift signal; the default serve ring (1 Ki
-    entries) would take thousands of requests to fill.
+    entries) would take thousands of requests to fill, 512 do not.
     """
-    return default_serve_config(
-        threads, logging=LoggingConfig(log_entries=log_entries)
+    return default_serve_config(threads, logging=LoggingConfig(log_entries=512))
+
+
+def drift_serve_config(
+    threads: int = 2, seed: int = 42, window_txns: int = 4
+) -> ServeConfig:
+    """The serve configuration a drift scenario runs under.
+
+    Admission is effectively lossless: every design must serve the whole
+    schedule, so total simulated cycles compares equal completed work (a
+    bounded queue would let slow designs shed load and look cheap).
+    ``seed`` seeds both the workload and the traffic.
+    """
+    return ServeConfig(
+        workload="ycsb",
+        policy=WRITEBACK_FAMILY[0],
+        threads=threads,
+        seed=seed,
+        traffic=TrafficConfig(rate=0.02, arrival="uniform", seed=seed),
+        admission=AdmissionConfig(max_queue_depth=1 << 20),
+        system=drift_system(threads),
+        adapt_window_txns=window_txns,
     )
 
 
 @dataclass
 class DriftConfig:
-    """One drift scenario."""
+    """One drift scenario: a phase list over a serve configuration."""
 
-    workload: str = "ycsb"
     phases: Tuple[DriftPhase, ...] = (
         DriftPhase(256, 0.9, 0.30, 0.65),
         DriftPhase(384, 0.9, 0.65, 1.0),
@@ -116,75 +130,36 @@ class DriftConfig:
     distinct line) into a far-tail update storm that wraps the ring
     (``nowb`` pays inline wrap-force stalls on the first phase's — and
     then its own — still-dirty lines, ``clwb`` clean)."""
-    policy: DesignSpec = None
-    """The starting design (also the static baseline family's member)."""
-    shards: int = 1
-    threads: int = 2
-    batch_requests: int = 8
-    rate: float = 0.02
-    arrival: str = "uniform"
-    seed: int = 42
-    system: Optional[SystemConfig] = None
-    admission: AdmissionConfig = field(
-        default_factory=lambda: AdmissionConfig(max_queue_depth=1 << 20)
-    )
-    """Effectively lossless by default: every design must serve the whole
-    schedule, so total simulated cycles compares equal completed work
-    (a bounded queue would let slow designs shed load and look cheap)."""
-    window_txns: int = 4
-    drain_checkpoint_cycles: float = 400.0
-    """Backlog served after the last arrival still passes controller
-    checkpoints every this-many cycles (the drift signal usually peaks
-    exactly there — see ``EventLoopScheduler.drain``)."""
-
-    def __post_init__(self) -> None:
-        if self.policy is None:
-            self.policy = resolve_design(WRITEBACK_FAMILY[0])
-        elif not isinstance(self.policy, DesignSpec):
-            self.policy = resolve_design(self.policy)
+    serve: ServeConfig = field(default_factory=drift_serve_config)
+    """Everything but the phases; ``serve.policy`` is the starting design
+    (also the static baseline family's member) and ``serve.traffic``'s
+    request count is replaced by the phases' total."""
 
     def validate(self) -> None:
         if not self.phases:
             raise ConfigError("a drift scenario needs at least one phase")
         for phase in self.phases:
             phase.validate()
-        if self.shards <= 0 or self.threads <= 0 or self.batch_requests <= 0:
-            raise ConfigError("shards, threads, batch_requests must be positive")
-        self.admission.validate()
 
     @property
     def requests(self) -> int:
         return sum(phase.requests for phase in self.phases)
 
-    def traffic(self) -> TrafficConfig:
-        return TrafficConfig(
-            requests=self.requests,
-            rate=self.rate,
-            arrival=self.arrival,
-            seed=self.seed,
-        )
-
-    def phase_dicts(self) -> list:
-        return [dataclasses.asdict(phase) for phase in self.phases]
-
 
 def drift_schedule(config: DriftConfig) -> list:
     """The open-loop schedule with per-phase draw remapping applied."""
-    schedule = open_loop_schedule(config.traffic(), config.shards)
-    remapped = []
-    index = 0
-    for phase in config.phases:
-        for _ in range(phase.requests):
-            request = schedule[index]
-            remapped.append(
-                dataclasses.replace(
-                    request,
-                    key_u=remap_key(request.key_u, phase.key_lo, phase.key_hi),
-                    op_u=remap_op(request.op_u, phase.update_ratio),
-                )
-            )
-            index += 1
-    return remapped
+    traffic = dataclasses.replace(config.serve.traffic, requests=config.requests)
+    phase_of = [phase for phase in config.phases for _ in range(phase.requests)]
+    return [
+        dataclasses.replace(
+            request,
+            key_u=remap_key(request.key_u, phase.key_lo, phase.key_hi),
+            op_u=remap_op(request.op_u, phase.update_ratio),
+        )
+        for request, phase in zip(
+            open_loop_schedule(traffic, config.serve.shards), phase_of
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -249,100 +224,55 @@ class DriftSequenceWorkload(YCSBKernel):
 # ----------------------------------------------------------------------
 # Scenario execution
 # ----------------------------------------------------------------------
-def run_drift(
-    config: DriftConfig,
-    table: Optional[PolicyTable] = None,
-    machine_hook=None,
-) -> dict:
-    """Run one drift scenario; adaptive when ``table`` is given.
+#: The finalized shard-stat counters a drift report sums over shards.
+_REPORT_COUNTERS = (
+    "transactions_committed", "instructions", "log_records",
+    "log_wrap_forced_writebacks", "clwb_count", "fwb_writebacks",
+    "nvram_write_bytes", "design_switches",
+)
+
+
+def run_drift(config: DriftConfig, table: Optional[PolicyTable] = None) -> dict:
+    """Run one drift scenario through :func:`~repro.sched.serve.run_serve`;
+    adaptive when ``table`` is given.
 
     Returns a JSON-ready report: total simulated cycles (the comparison
     metric), completion counts, deterministic cost counters, and — in
     adaptive mode — the controller's full decision log.
     """
     config.validate()
+    serve = dataclasses.replace(config.serve, policy_table=table)
     if table is not None and table.start is not None:
-        config = dataclasses.replace(config, policy=table.start)
-    workload = make_whisper_kernel(config.workload, seed=config.seed)
-    if not workload.request_shaped:
-        raise ConfigError(
-            f"workload {config.workload!r} is not request-shaped; drift "
-            "scenarios run through the open-loop serve layer"
-        )
-    system = config.system or drift_system(config.threads)
-    prepared = prepare_workload(workload, system)
-    run = RunConfig(config.policy, config.threads, system=system)
-
-    shards = []
-    for shard_id in range(config.shards):
-        machine, pm, workload = _build_run(
-            prepared.workload,
-            run,
-            prepared,
-            None if machine_hook is None else partial(machine_hook, shard_id),
-        )
-        shard = ShardMachine(
-            machine,
-            pm,
-            workload,
-            threads=config.threads,
-            shard_id=shard_id,
-            batch_requests=config.batch_requests,
-        )
-        shard.start_serve()
-        shards.append(shard)
-
-    controller = None
-    checkpoint = None
-    if table is not None:
-        controller = AdaptiveController(table, window_txns=config.window_txns)
-        checkpoint = controller.checkpoint_for(shards)
-    scheduler = EventLoopScheduler(
-        shards,
-        admission=config.admission,
-        checkpoint=checkpoint,
-        drain_checkpoint_cycles=(
-            config.drain_checkpoint_cycles if checkpoint is not None else None
-        ),
+        serve = dataclasses.replace(serve, policy=table.start)
+    machines = []
+    served = run_serve(
+        serve,
+        lambda _shard_id, machine: machines.append(machine),
+        schedule=drift_schedule(config),
     )
-    scheduler.run_open_loop(drift_schedule(config))
-
-    total_cycles = 0.0
-    completed = 0
-    counters = {
-        "transactions_committed": 0,
-        "instructions": 0,
-        "log_records": 0,
-        "log_wrap_forced_writebacks": 0,
-        "clwb_count": 0,
-        "fwb_writebacks": 0,
-        "nvram_write_bytes": 0,
-        "design_switches": 0,
-    }
-    final_designs = []
-    for shard in shards:
-        stats = shard.machine.finalize()
-        total_cycles = max(total_cycles, stats.cycles)
-        completed += len(shard.completed_requests())
-        for name in counters:
-            counters[name] += getattr(stats, name)
-        final_designs.append(shard.machine.policy.mechanism_string())
-
     report = {
-        "workload": config.workload,
-        "phases": config.phase_dicts(),
-        "start_design": config.policy.mechanism_string(),
+        "workload": serve.workload,
+        "phases": [dataclasses.asdict(phase) for phase in config.phases],
+        "start_design": serve.policy.mechanism_string(),
         "adaptive": table is not None,
-        "offered": config.requests,
-        "admitted": len(scheduler.admitted),
-        "rejected": len(scheduler.rejected),
-        "completed": completed,
-        "total_cycles": total_cycles,
-        "final_designs": final_designs,
-        "counters": counters,
+        "offered": served.offered,
+        "admitted": served.admitted,
+        "rejected": served.rejected,
+        "completed": served.completed,
+        "total_cycles": served.makespan_cycles,
+        "final_designs": [m.policy.mechanism_string() for m in machines],
+        "counters": {
+            name: sum(getattr(machine.stats, name) for machine in machines)
+            for name in _REPORT_COUNTERS
+        },
     }
-    if controller is not None:
-        report["adaptation"] = controller.summary()
+    if table is not None:
+        # start_design / final_designs already head the report.
+        report["adaptation"] = {
+            key: value
+            for key, value in served.adaptation.items()
+            if key not in ("start_design", "final_designs")
+        }
     return report
 
 
@@ -367,27 +297,27 @@ def compare_drift(
         for spec in table.specs():
             if spec not in family:
                 family.append(spec)
-        statics = legal_switch_targets(config.policy, family)
+        statics = legal_switch_targets(config.serve.policy, family)
     adaptive = run_drift(config, table=table)
     static_reports = {}
     for spec in statics:
-        static_config = dataclasses.replace(config, policy=spec)
+        static_config = dataclasses.replace(
+            config, serve=dataclasses.replace(config.serve, policy=spec)
+        )
         static_reports[spec.mechanism_string()] = run_drift(static_config)
 
-    best_static = min(
-        static_reports.items(), key=lambda item: (item[1]["total_cycles"], item[0])
+    best_cycles, best_name = min(
+        (report["total_cycles"], name) for name, report in static_reports.items()
     )
+    adaptive_cycles = adaptive["total_cycles"]
     return {
         "adaptive": adaptive,
         "static": static_reports,
-        "best_static": best_static[0],
-        "best_static_cycles": best_static[1]["total_cycles"],
-        "adaptive_cycles": adaptive["total_cycles"],
-        "adaptive_wins": adaptive["total_cycles"] < best_static[1]["total_cycles"],
+        "best_static": best_name,
+        "best_static_cycles": best_cycles,
+        "adaptive_cycles": adaptive_cycles,
+        "adaptive_wins": adaptive_cycles < best_cycles,
         "margin": (
-            (best_static[1]["total_cycles"] - adaptive["total_cycles"])
-            / best_static[1]["total_cycles"]
-            if best_static[1]["total_cycles"]
-            else 0.0
+            (best_cycles - adaptive_cycles) / best_cycles if best_cycles else 0.0
         ),
     }

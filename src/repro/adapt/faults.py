@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.design import DesignSpec, resolve_design, switch_legal
 from ..core.recovery import RecoveryManager
@@ -143,8 +143,47 @@ class SwitchCampaignResult:
 
 
 # ----------------------------------------------------------------------
-# Single-run driver: closed-loop threads with one mid-run switch
+# Single-run driver: closed-loop threads with mid-run switches
 # ----------------------------------------------------------------------
+def run_with_switches(
+    machine: Machine,
+    pm: PersistentMemory,
+    workload,
+    threads: int,
+    txns_per_thread: int,
+    switches: Sequence[Tuple[int, DesignSpec]],
+) -> None:
+    """Drive a built closed-loop run through ``(commit_threshold, spec)``
+    ``switches``, in threshold order.
+
+    Each fires at the first transaction boundary (where the machine is
+    quiescent) at or after its threshold; thresholds the run never
+    reaches fire at its end.  Unlike ``ShardMachine.switch_design``, the
+    ``(core_time, tid)`` ready heap is not re-priced after a switch.
+    """
+    apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
+    generators = [
+        workload.thread_body(apis[tid], tid, txns_per_thread)
+        for tid in range(threads)
+    ]
+    ready = [(machine.core_time(tid), tid) for tid in range(threads)]
+    heapq.heapify(ready)
+    pending = list(switches)
+    while ready:
+        while pending and machine.stats.transactions_committed >= pending[0][0]:
+            machine.switch_design(pending.pop(0)[1])
+            for api in apis:
+                api.refresh_policy()
+        _, tid = heapq.heappop(ready)
+        try:
+            next(generators[tid])
+        except StopIteration:
+            continue
+        heapq.heappush(ready, (machine.core_time(tid), tid))
+    for _threshold, spec in pending:
+        machine.switch_design(spec)
+
+
 def _run_with_switch(
     prepared: PreparedWorkload,
     old: DesignSpec,
@@ -154,44 +193,17 @@ def _run_with_switch(
     switch_at_txns: int,
     monitor: Optional[FaultMonitor],
 ) -> Tuple[Machine, PersistentMemory, Optional[SimulatedCrash]]:
-    """Run under ``old``, switch to ``new`` mid-run, finish (or crash).
-
-    The switch fires at the first transaction boundary at or after
-    ``switch_at_txns`` commits — generators yield only between
-    transactions, so the machine is quiescent there by construction.
-    """
+    """Run under ``old``, switch to ``new`` mid-run, finish (or crash)."""
     def hook(machine: Machine) -> None:
         machine.fault_monitor = monitor
 
     machine, pm, workload = _build_run(
         prepared.workload, RunConfig(old, threads, txns_per_thread), prepared, hook
     )
-    apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
-    generators = [
-        workload.thread_body(apis[tid], tid, txns_per_thread)
-        for tid in range(threads)
-    ]
-    ready = [(machine.core_time(tid), tid) for tid in range(threads)]
-    heapq.heapify(ready)
-    switched = False
     try:
-        while ready:
-            if (
-                not switched
-                and machine.stats.transactions_committed >= switch_at_txns
-            ):
-                machine.switch_design(new)
-                for api in apis:
-                    api.refresh_policy()
-                switched = True
-            _, tid = heapq.heappop(ready)
-            try:
-                next(generators[tid])
-            except StopIteration:
-                continue
-            heapq.heappush(ready, (machine.core_time(tid), tid))
-        if not switched:  # short run: switch at the end, still a barrier
-            machine.switch_design(new)
+        run_with_switches(
+            machine, pm, workload, threads, txns_per_thread, [(switch_at_txns, new)]
+        )
     except SimulatedCrash as crash:
         return machine, pm, crash
     return machine, pm, None

@@ -342,10 +342,11 @@ def compile_replay(quick: bool, timer: BenchTimer) -> dict:
 
 @register("pstatic-matrix", "static verifier vs dynamic psan over the canonical designs")
 def pstatic_matrix(quick: bool, timer: BenchTimer) -> dict:
-    from ..harness.runner import RunConfig, prepare_workload
-    from ..sanitizer.checker import PersistOrderChecker
+    from ..harness.parallel import run_cell
+    from ..harness.runner import prepare_workload
+    from ..harness.sweep import SweepCell
     from ..sanitizer.static import verify_trace
-    from ..sim.replay import compile_trace, run_compiled
+    from ..sim.replay import compile_trace
     from ..workloads import make_microbenchmark
 
     # The production configuration, not the tiny fixture: the verifier's
@@ -371,23 +372,13 @@ def pstatic_matrix(quick: bool, timer: BenchTimer) -> dict:
             counters["static_entries"] += static.cost()
             counters["static_bytes"] += column_bytes
 
-            holder: dict = {}
-
-            def hook(machine) -> None:
-                holder["checker"] = PersistOrderChecker.attach(machine)
-
-            outcome = run_compiled(
-                trace,
-                RunConfig(
-                    policy=spec,
-                    threads=threads,
-                    txns_per_thread=txns,
-                    system=prepared.system,
-                ),
-                machine_hook=hook,
+            stats = run_cell(
+                (prepared.system, trace),
+                SweepCell("hash", threads, spec),
+                txns,
+                psan=True,
             )
-            report = holder["checker"].finish()
-            stats = outcome.stats
+            report = stats.psan_report
             counters["dynamic_events"] += report.events_processed
             counters["dynamic_bytes"] += (
                 len(trace.image_prefix)
@@ -398,7 +389,6 @@ def pstatic_matrix(quick: bool, timer: BenchTimer) -> dict:
             counters["agreements"] += int(
                 static.rules_fired() == report.rules_fired()
             )
-            outcome.machine.nvram.recycle()
     counters["bytes_ratio"] = counters["dynamic_bytes"] // max(
         1, counters["static_bytes"]
     )
@@ -551,25 +541,20 @@ def adapt_decide(quick: bool, timer: BenchTimer) -> dict:
 
 @register("adapt-switch", "safe-switch epoch barrier: drain + force + swap, mid-run")
 def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
-    import heapq
-
+    from ..adapt.faults import run_with_switches
     from ..core.design import resolve_design
     from ..faults.campaign import campaign_workload
     from ..harness.runner import RunConfig, _build_run, prepare_workload
 
     cycle_specs = [
         resolve_design(name)
-        for name in (
-            "hw+undo+redo+clwb",
-            "hw+undo+redo+fwb",
-            "hw+undo+redo+nowb",
-        )
+        for name in ("hw+undo+redo+clwb", "hw+undo+redo+fwb", "hw+undo+redo+nowb")
     ]
     threads = 2
     txns_per_thread = 24 if quick else 96
     total = threads * txns_per_thread
     # One switch per quarter of the run, cycling through the family.
-    thresholds = [total // 4, total // 2, (3 * total) // 4]
+    switches = list(zip([total // 4, total // 2, (3 * total) // 4], cycle_specs))
     system = _tiny_system(logging=LoggingConfig(log_entries=256))
     workload = campaign_workload("hash", 7)
     prepared = prepare_workload(workload, system)
@@ -579,29 +564,8 @@ def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
         prepared,
         None,
     )
-    apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
-    generators = [
-        workload.thread_body(apis[tid], tid, txns_per_thread)
-        for tid in range(threads)
-    ]
     with timer.timed():
-        ready = [(machine.core_time(tid), tid) for tid in range(threads)]
-        heapq.heapify(ready)
-        pending = list(zip(thresholds, cycle_specs))
-        while ready:
-            if (
-                pending
-                and machine.stats.transactions_committed >= pending[0][0]
-            ):
-                machine.switch_design(pending.pop(0)[1])
-                for api in apis:
-                    api.refresh_policy()
-            _, tid = heapq.heappop(ready)
-            try:
-                next(generators[tid])
-            except StopIteration:
-                continue
-            heapq.heappush(ready, (machine.core_time(tid), tid))
+        run_with_switches(machine, pm, workload, threads, txns_per_thread, switches)
         stats = machine.finalize()
     return {
         "design_switches": stats.design_switches,

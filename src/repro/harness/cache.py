@@ -504,6 +504,30 @@ def fetch_trace(
     return trace
 
 
+def ship_entries(
+    benchmark: str,
+    workload: Workload,
+    system: SystemConfig,
+    thread_counts,
+    txns_per_thread: int,
+    prepare: Callable[[], object],
+) -> dict:
+    """The shipped-map entries (read by ``parallel.cell_entry``) one
+    benchmark's sweep or psan cells run from: per thread count a
+    ``(system, trace)`` pair under ``trace:<benchmark>@<threads>``, or
+    under ``REPRO_TRACE=0`` the ``prepare()``d snapshot, interpreted.
+    """
+    if not trace_enabled():
+        return {benchmark: prepare()}
+    return {
+        f"trace:{benchmark}@{nthreads}": (
+            system,
+            fetch_trace(workload, system, nthreads, txns_per_thread, prepare),
+        )
+        for nthreads in sorted(thread_counts)
+    }
+
+
 def peek_trace_cache() -> Optional[TraceCache]:
     """The shared trace cache if one exists, without creating it.
 

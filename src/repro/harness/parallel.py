@@ -135,14 +135,23 @@ def _psan_hook(holder: dict):
     return hook
 
 
-def _finish_psan(holder: dict, stats: MachineStats, benchmark: str, threads: int):
+def _finish_psan(
+    holder: dict,
+    stats: MachineStats,
+    benchmark: str,
+    threads: int,
+    trace_path: Optional[str] = None,
+):
     """Evaluate an attached checker and stash its report on the stats.
 
     The report rides back to the driver as an extra attribute —
     :class:`~repro.sim.stats.MachineStats` pickles with its instance
     dict, so worker-process results carry it across the pool boundary.
+    ``trace_path`` first saves the checked event stream as JSONL.
     """
     checker = holder.pop("checker")
+    if trace_path is not None:
+        checker.tracer.to_jsonl(trace_path)
     report = checker.finish()
     report.benchmark = benchmark
     report.threads = threads
@@ -158,7 +167,11 @@ def cell_entry(prepared_map: Dict[str, object], cell: "SweepCell"):
 
 
 def run_cell(
-    entry, cell: "SweepCell", txns_per_thread: int, psan: bool = False
+    entry,
+    cell: "SweepCell",
+    txns_per_thread: int,
+    psan: bool = False,
+    trace_path: Optional[str] = None,
 ) -> MachineStats:
     """Run one sweep cell from its shipped entry; returns its stats.
 
@@ -166,8 +179,9 @@ def run_cell(
     far cheaper); a :class:`PreparedWorkload` entry interprets the
     workload from its snapshot.  The finished machine's NVRAM buffer is
     recycled, saving an allocate+zero of the full device for the next
-    cell.  Worker processes, the serial sweep and the serial fallback
-    all run cells through here.
+    cell.  Worker processes, the serial sweep, the serial fallback and
+    ``run_psan`` all run cells through here; ``psan`` and ``trace_path``
+    go to :func:`_psan_hook` / :func:`_finish_psan`.
     """
     holder: dict = {}
     hook = _psan_hook(holder) if psan else None
@@ -189,7 +203,9 @@ def run_cell(
         )
     outcome.machine.nvram.recycle()
     if psan:
-        _finish_psan(holder, outcome.stats, cell.benchmark, cell.threads)
+        _finish_psan(
+            holder, outcome.stats, cell.benchmark, cell.threads, trace_path
+        )
     return outcome.stats
 
 

@@ -13,11 +13,11 @@ The sweep engine has three throughput levers on top of the serial loop:
 * ``cache=`` consults a content-addressed on-disk store
   (:mod:`~repro.harness.cache`) before running anything; benchmarks whose
   cells all hit are never even prepared.
-* trace compilation (:mod:`~repro.sim.replay`, on by default for
-  ``trace_compilable`` workloads, ``REPRO_TRACE=0`` to disable): each
-  ``(benchmark, threads)`` pair's micro-op stream is decoded once —
-  or fetched from the shared trace cache, skipping preparation entirely
-  — and replayed per design cell, bit-identically.
+* trace compilation (:mod:`~repro.sim.replay`, on by default,
+  ``REPRO_TRACE=0`` to disable): each ``(benchmark, threads)`` pair's
+  micro-op stream is decoded once — or fetched from the shared trace
+  cache, skipping preparation entirely — and replayed per design cell,
+  bit-identically.
 
 Whatever mix of cached and fresh cells a sweep ends up with, the result
 dict is assembled in canonical matrix order (benchmarks outermost,
@@ -28,7 +28,7 @@ cold serial sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, Optional
 
 from ..core.design import DesignSpec, canonical_order, resolve_design
@@ -37,7 +37,7 @@ from ..sim.config import SystemConfig
 from ..sim.stats import MachineStats
 from ..workloads import make_microbenchmark
 from ..workloads.base import Workload
-from .cache import SweepCache, fetch_trace, trace_enabled
+from .cache import SweepCache, ship_entries
 from .runner import default_experiment_config, prepare_workload
 
 
@@ -179,9 +179,9 @@ def run_micro_sweep(
         pending.append(cell)
 
     if pending:
-        # Execution planning: cells of trace-compilable workloads replay
-        # a compiled trace (decode once per (benchmark, threads), replay
-        # per design cell — see repro.sim.replay); everything else runs
+        # Execution planning (see ship_entries): cells replay a compiled
+        # trace (decode once per (benchmark, threads), replay per design
+        # cell — see repro.sim.replay), or with REPRO_TRACE=0 run
         # interpreted from a prepared snapshot.  When a benchmark's
         # traces all come from the trace cache, its (expensive) setup
         # phase is skipped entirely.
@@ -189,33 +189,24 @@ def run_micro_sweep(
         for cell in pending:
             needed_threads.setdefault(cell.benchmark, set()).add(cell.threads)
 
-        use_traces = trace_enabled()
-        prepared: Dict[str, object] = {}
-
-        def _prepared_for(benchmark: str):
-            if benchmark not in prepared:
-                prepared[benchmark] = prepare_workload(workloads[benchmark], system)
-            return prepared[benchmark]
-
         # The shipped map every cell runs from (see
-        # repro.harness.parallel.cell_entry): compiled traces keyed
-        # ``trace:<benchmark>@<threads>``, and a prepared snapshot only
-        # for benchmarks with interpreted cells.
+        # repro.harness.parallel.cell_entry); each benchmark is prepared
+        # at most once, and only if some entry needs it.
         shipping: Dict[str, object] = {}
         for benchmark, thread_counts in needed_threads.items():
-            workload = workloads[benchmark]
-            if use_traces and getattr(workload, "trace_compilable", False):
-                for nthreads in sorted(thread_counts):
-                    trace = fetch_trace(
-                        workload,
-                        resolved_system,
-                        nthreads,
-                        txns_per_thread,
-                        partial(_prepared_for, benchmark),
-                    )
-                    shipping[f"trace:{benchmark}@{nthreads}"] = (resolved_system, trace)
-            else:
-                shipping[benchmark] = _prepared_for(benchmark)
+            prepare = lru_cache(maxsize=None)(
+                partial(prepare_workload, workloads[benchmark], system)
+            )
+            shipping.update(
+                ship_entries(
+                    benchmark,
+                    workloads[benchmark],
+                    resolved_system,
+                    thread_counts,
+                    txns_per_thread,
+                    prepare,
+                )
+            )
 
         psan = psan_report is not None
         if jobs > 1:

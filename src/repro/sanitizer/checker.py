@@ -762,61 +762,40 @@ def run_psan(
     prepared=None,
     seed: int = 42,
     trace_path: Optional[str] = None,
-    capacity: int = 1_000_000,
 ) -> PsanReport:
     """Run one (benchmark, policy, threads) cell under the sanitizer.
 
-    Builds the machine through the standard runner with the checker
-    attached before setup, so the stream covers exactly the timed
-    execution.  ``trace_path`` additionally saves the raw event stream
-    as JSONL for offline re-checking (``repro psan --from-trace``).
-
-    Trace-compilable workloads run on trace replay, whose event stream
-    is bit-identical to interpretation (``tests/sim/test_replay.py``);
-    one decode then amortizes across the whole policy x threads matrix
-    through the shared trace cache.
+    The cell ships and runs exactly as a sweep cell does (trace replay,
+    or interpretation under ``REPRO_TRACE=0``; the event streams are
+    bit-identical), with the checker attached before timed execution.
+    ``trace_path`` also saves the raw event stream as JSONL for offline
+    re-checking (``repro psan --from-trace``).
     """
-    from ..harness.cache import fetch_trace, trace_enabled
-    from ..harness.runner import RunConfig, prepare_workload, run_workload
+    from ..harness.cache import ship_entries
+    from ..harness.parallel import cell_entry, run_cell
+    from ..harness.runner import prepare_workload
+    from ..harness.sweep import SweepCell
     from ..workloads import make_microbenchmark
 
-    if prepared is not None:
-        workload = prepared.workload
-    else:
-        workload = make_microbenchmark(benchmark, seed=seed)
-    holder: dict = {}
-
-    def hook(machine) -> None:
-        holder["checker"] = PersistOrderChecker.attach(machine, capacity=capacity)
-
-    if trace_enabled() and getattr(workload, "trace_compilable", False):
-        from ..sim.replay import run_compiled
-
-        if prepared is None:
-            prepared = prepare_workload(workload, system)
-        trace = fetch_trace(
-            workload, prepared.system, threads, txns_per_thread, lambda: prepared
-        )
-        outcome = run_compiled(
-            trace,
-            RunConfig(policy, threads, txns_per_thread, prepared.system),
-            machine_hook=hook,
-        )
-    else:
-        outcome = run_workload(
-            workload,
-            RunConfig(policy, threads, txns_per_thread, system),
-            prepared=prepared,
-            machine_hook=hook,
-        )
-    checker = holder["checker"]
-    if trace_path is not None:
-        checker.tracer.to_jsonl(trace_path)
-    report = checker.finish()
-    report.benchmark = benchmark
-    report.threads = threads
-    outcome.machine.nvram.recycle()
-    return report
+    if prepared is None:
+        prepared = prepare_workload(make_microbenchmark(benchmark, seed=seed), system)
+    cell = SweepCell(benchmark, threads, policy)
+    shipping = ship_entries(
+        benchmark,
+        prepared.workload,
+        prepared.system,
+        (threads,),
+        txns_per_thread,
+        lambda: prepared,
+    )
+    stats = run_cell(
+        cell_entry(shipping, cell),
+        cell,
+        txns_per_thread,
+        psan=True,
+        trace_path=trace_path,
+    )
+    return stats.psan_report
 
 
 @dataclass

@@ -10,10 +10,11 @@ happens-before edge orders.
 
 Compiled traces carry no synchronization ops today — workloads partition
 the heap per thread precisely so their recorded streams are
-interleaving-independent (the ``trace_compilable`` contract).  A clean
-race report is therefore the *proof obligation* behind that contract:
-if a workload ever touches a shared word, the detector fails the cell
-before replay could silently pick one winner.  The detector still
+interleaving-independent (the :class:`~repro.workloads.base.Workload`
+contract).  A clean race report is therefore the *proof obligation*
+behind that contract: if a workload ever touches a shared word, the
+detector fails the cell before replay could silently pick one winner.
+The detector still
 implements the full vector-clock algebra (``acquire``/``release`` edges)
 so synthetic streams and future sync-carrying traces check correctly.
 

@@ -841,14 +841,8 @@ def _compiled_cell(benchmark, threads, txns_per_thread, system, prepared, seed):
         prepared = prepare_workload(
             make_microbenchmark(benchmark, seed=seed), system
         )
-    workload = prepared.workload
-    if not getattr(workload, "trace_compilable", False):
-        raise ValueError(
-            f"workload {benchmark!r} is not trace-compilable; the static "
-            "verifier needs compiled op columns"
-        )
     trace = fetch_trace(
-        workload, prepared.system, threads, txns_per_thread, lambda: prepared
+        prepared.workload, prepared.system, threads, txns_per_thread, lambda: prepared
     )
     return trace, prepared
 
@@ -892,20 +886,16 @@ def _relocate(addr: Optional[int], bind: dict) -> Optional[int]:
 def _dynamic_report_with_bind(trace, policy, system, threads, txns_per_thread):
     """Replay the cell with the checker attached; returns the
     dynamic report plus the symbolic address binding."""
+    from ..harness.parallel import _psan_hook
     from ..harness.runner import RunConfig
     from ..sim.replay import run_compiled
-    from .checker import PersistOrderChecker
 
     holder: dict = {}
-
-    def hook(machine) -> None:
-        holder["checker"] = PersistOrderChecker.attach(machine)
-
     bind: dict = {}
     outcome = run_compiled(
         trace,
         RunConfig(policy, threads, txns_per_thread, system),
-        machine_hook=hook,
+        machine_hook=_psan_hook(holder),
         bind_out=bind,
     )
     report = holder["checker"].finish()

@@ -18,6 +18,7 @@ runs with the same :class:`ServeConfig` produce byte-identical reports
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -105,12 +106,16 @@ class ServeConfig:
         self.admission.validate()
 
 
-def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
+def run_serve(
+    config: ServeConfig, machine_hook=None, schedule=None
+) -> ServeReport:
     """Run one open-loop serve scenario and return its report.
 
     ``machine_hook(shard_id, machine)``, when given, is called on every
     freshly built shard machine before execution — the attachment point
-    for tracers and psan in serve mode.
+    for tracers and psan in serve mode.  ``schedule`` replaces the
+    arrival schedule ``config.traffic`` would generate (drift scenarios
+    pass their phase-remapped one; see :mod:`repro.adapt.drift`).
     """
     config.validate()
     workload = make_whisper_kernel(config.workload, seed=config.seed)
@@ -176,7 +181,8 @@ def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
             config.drain_checkpoint_cycles if controller is not None else None
         ),
     )
-    schedule = open_loop_schedule(config.traffic, config.shards)
+    if schedule is None:
+        schedule = open_loop_schedule(config.traffic, config.shards)
     scheduler.run_open_loop(schedule)
 
     return _build_report(
@@ -187,15 +193,9 @@ def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
 def _build_report(
     config, shards, scheduler, schedule, replicators, controller=None
 ) -> ServeReport:
-    offered_by_shard = [0] * config.shards
-    for request in schedule:
-        offered_by_shard[request.shard] += 1
-    admitted_by_shard = [0] * config.shards
-    for request in scheduler.admitted:
-        admitted_by_shard[request.shard] += 1
-    rejected_by_shard = [0] * config.shards
-    for request in scheduler.rejected:
-        rejected_by_shard[request.shard] += 1
+    offered_by_shard = Counter(request.shard for request in schedule)
+    admitted_by_shard = Counter(request.shard for request in scheduler.admitted)
+    rejected_by_shard = Counter(request.shard for request in scheduler.rejected)
 
     latencies = []
     per_shard = []

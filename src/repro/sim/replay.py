@@ -20,8 +20,9 @@ event stream, fault-monitor crash points, the golden model and the final
 NVRAM image all match the interpreted run.  Only the workload logic
 (hashing, pointer chasing, RNG draws) is skipped.
 
-Validity of sequential recording: every trace-compilable workload
-partitions its data per thread (``tid % MAX_PARTITIONS``), derives its
+Validity of sequential recording: every workload (the
+:class:`~repro.workloads.base.Workload` contract) partitions its data per
+thread (``tid % MAX_PARTITIONS``), derives its
 RNG from ``(seed, tid)`` and never reads another thread's writes, so each
 thread's operation stream is independent of the interleaving and can be
 recorded thread-at-a-time.  Allocation is the one cross-thread coupling:
@@ -215,14 +216,9 @@ def compile_trace(prepared, threads: int, txns_per_thread: int) -> CompiledTrace
     Runs every thread generator to completion against the functional
     memory, one thread at a time (valid for partitioned workloads; see
     the module docstring).  ``prepared`` is a
-    :class:`~repro.harness.runner.PreparedWorkload` whose workload has
-    ``trace_compilable = True``.
+    :class:`~repro.harness.runner.PreparedWorkload`.
     """
     workload = prepared.workload
-    if not getattr(workload, "trace_compilable", False):
-        raise WorkloadError(
-            f"workload {workload.name!r} is not trace-compilable"
-        )
     workload.reset_run_state()
     memory = _RecordingMemory(prepared.image_prefix)
     columns = []

@@ -80,7 +80,20 @@ class WorkloadResult:
 
 
 class Workload(abc.ABC):
-    """One benchmark: persistent state plus a per-thread transaction mix."""
+    """One benchmark: persistent state plus a per-thread transaction mix.
+
+    Every workload must keep its thread bodies partitioned and
+    deterministic per ``(seed, tid)``: each thread touches only its own
+    partition, only through the accessor protocol, and never reads
+    uninitialised memory.  Each thread's operation stream is then
+    independent of the interleaving, so the trace-compilation engine
+    (:mod:`repro.sim.replay`) records each thread once and replays the
+    stream under every design, bit-identically to interpretation.
+    Cross-thread coupling or direct heap/NVRAM access breaks that.  The
+    static verifier's race detector (:mod:`repro.sanitizer.hb`) checks
+    the partitioning of a compiled trace, and the interpreted path
+    (``REPRO_TRACE=0``) stays the reference replay is compared against.
+    """
 
     #: paper name (e.g. ``"hash"``); subclasses override.
     name: str = "abstract"
@@ -88,14 +101,6 @@ class Workload(abc.ABC):
     paper_footprint: str = "-"
     #: one-line description for Table III.
     description: str = ""
-    #: True when thread bodies are partitioned and deterministic per
-    #: ``(seed, tid)`` — touching only their own partition through the
-    #: accessor protocol, never reading uninitialised memory — so the
-    #: trace-compilation engine (:mod:`repro.sim.replay`) may record each
-    #: thread once and replay the stream under every design.  Workloads
-    #: with cross-thread coupling or direct heap/NVRAM access must leave
-    #: this False and run interpreted.
-    trace_compilable: bool = False
     #: True when the workload's transactions are client-request shaped
     #: and it implements :meth:`serve_request`, so the service layer
     #: (:mod:`repro.sched`) can drive it from an open-loop traffic
@@ -129,8 +134,8 @@ class Workload(abc.ABC):
         cell, plus once by the trace compiler.  Anything host-side that
         thread bodies mutate (append cursors, free-slot rotors) must be
         re-derivable from ``(seed, tid)`` alone, or the second run sees
-        the first run's leftovers and the ``trace_compilable`` contract
-        (identical stream per run) silently breaks.  Subclasses with such
+        the first run's leftovers and the class contract (identical stream
+        per run) silently breaks.  Subclasses with such
         state override this; the harness calls it before every run and
         before trace recording.
 

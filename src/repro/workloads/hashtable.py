@@ -31,7 +31,6 @@ class HashTableWorkload(Workload):
     """Insert-if-absent / remove-if-found over an open-chain hash table."""
 
     name = "hash"
-    trace_compilable = True
     paper_footprint = "256 MB"
     description = (
         "Searches for a value in an open-chain hash table. "

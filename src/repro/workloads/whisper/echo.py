@@ -25,7 +25,6 @@ class EchoKernel(Workload):
 
     name = "echo"
     description = "Scalable KV store: queue append + index update (WHISPER echo)."
-    trace_compilable = True
 
     def __init__(
         self, seed: int = 42, value_kind: str = "int", keys_per_partition: int = 2048

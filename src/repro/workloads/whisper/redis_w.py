@@ -24,7 +24,6 @@ class RedisKernel(Workload):
 
     name = "redis"
     description = "KV store with append-only-file persistence (WHISPER redis)."
-    trace_compilable = True
     request_shaped = True
 
     def __init__(

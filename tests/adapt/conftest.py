@@ -4,8 +4,7 @@ fault campaign builds its runs."""
 
 from __future__ import annotations
 
-import heapq
-
+from repro.adapt.faults import run_with_switches as drive_with_switches
 from repro.core.design import resolve_design
 from repro.faults.campaign import campaign_workload, default_campaign_system
 from repro.harness.runner import RunConfig, _build_run, prepare_workload
@@ -32,25 +31,7 @@ def run_with_switches(
     machine, pm, wl = _build_run(
         wl, RunConfig(specs[0], threads, txns_per_thread), prepared, machine_hook
     )
-    apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
-    generators = [
-        wl.thread_body(apis[tid], tid, txns_per_thread)
-        for tid in range(threads)
-    ]
-    ready = [(machine.core_time(tid), tid) for tid in range(threads)]
-    heapq.heapify(ready)
-    pending = list(zip(switch_at, specs[1:]))
-    while ready:
-        if pending and machine.stats.transactions_committed >= pending[0][0]:
-            machine.switch_design(pending.pop(0)[1])
-            for api in apis:
-                api.refresh_policy()
-        _, tid = heapq.heappop(ready)
-        try:
-            next(generators[tid])
-        except StopIteration:
-            continue
-        heapq.heappush(ready, (machine.core_time(tid), tid))
-    while pending:  # thresholds past the run's end: switch at the tail
-        machine.switch_design(pending.pop(0)[1])
+    drive_with_switches(
+        machine, pm, wl, threads, txns_per_thread, list(zip(switch_at, specs[1:]))
+    )
     return machine, pm

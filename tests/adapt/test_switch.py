@@ -124,3 +124,45 @@ class TestLogTruncation:
         # The ring was truncated at the switch, so every surviving DATA
         # record belongs to the undo+redo epoch and carries a redo side.
         assert data and all(record.has_redo for record in data)
+
+
+class TestSwitchDriver:
+    @staticmethod
+    def _recording_hook(seen):
+        def hook(machine):
+            switch = machine.switch_design
+
+            def record(spec):
+                seen.append(
+                    (machine.stats.transactions_committed, spec.mechanism_string())
+                )
+                return switch(spec)
+
+            machine.switch_design = record
+
+        return hook
+
+    def test_unreached_thresholds_fire_at_the_tail(self):
+        # 2 threads x 8 txns = 16 commits: the threshold at 4 fires at
+        # that boundary, the two past the run's end after its last one.
+        seen = []
+        machine, _pm = run_with_switches(
+            [NOWB, CLWB, FWB, NOWB],
+            [4, 100, 200],
+            txns_per_thread=8,
+            machine_hook=self._recording_hook(seen),
+        )
+        assert seen == [(4, CLWB), (16, FWB), (16, NOWB)]
+        assert machine.stats.design_switches == 3
+        assert machine.policy == resolve_design(NOWB)
+
+    def test_thresholds_reached_together_fire_at_one_boundary(self):
+        seen = []
+        machine, _pm = run_with_switches(
+            [NOWB, CLWB, FWB],
+            [6, 6],
+            txns_per_thread=8,
+            machine_hook=self._recording_hook(seen),
+        )
+        assert seen == [(6, CLWB), (6, FWB)]
+        assert machine.stats.design_switches == 2

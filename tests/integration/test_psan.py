@@ -104,6 +104,32 @@ class TestOfflineTraces:
         assert len(replayed.diagnostics) == len(live.diagnostics)
 
 
+class TestEngineChoice:
+    @pytest.mark.parametrize("policy", [FWB, HW_RLOG])
+    def test_interpreted_and_replayed_reports_identical(self, policy, monkeypatch):
+        # run_psan ships its cell through the sweep's one engine choice:
+        # REPRO_TRACE=0 interprets the prepared snapshot (no trace
+        # fetched), the default replays the compiled trace.
+        import repro.harness.cache as cache_module
+
+        fetches = []
+        fetch = cache_module.fetch_trace
+
+        def counting(*args, **kwargs):
+            fetches.append(args)
+            return fetch(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "fetch_trace", counting)
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        interpreted = psan(policy, threads=2)
+        assert fetches == []
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        replayed = psan(policy, threads=2)
+        assert len(fetches) == 1
+        assert interpreted == replayed
+        assert interpreted.to_dict() == replayed.to_dict()
+
+
 class TestSweepIntegration:
     def test_sweep_psan_collects_reports_in_matrix_order(self):
         sweep = PsanSweepReport()

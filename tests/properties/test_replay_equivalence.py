@@ -32,7 +32,6 @@ class RandomOpsWorkload(Workload):
     """Seeded-random accessor-op soup (partitioned, so trace-compilable)."""
 
     name = "randomops"
-    trace_compilable = True
 
     def __init__(
         self,
