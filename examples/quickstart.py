@@ -39,11 +39,11 @@ def main() -> None:
     for _ in range(50):
         src, dst = rng.sample(range(4), 2)
         with api.transaction():
-            balance_src = int.from_bytes(api.read(accounts[src], 8), "little")
-            balance_dst = int.from_bytes(api.read(accounts[dst], 8), "little")
+            balance_src = api.read_word(accounts[src])
+            balance_dst = api.read_word(accounts[dst])
             amount = rng.randint(1, 10)
-            api.write(accounts[src], (balance_src - amount).to_bytes(8, "little"))
-            api.write(accounts[dst], (balance_dst + amount).to_bytes(8, "little"))
+            api.write_word(accounts[src], balance_src - amount)
+            api.write_word(accounts[dst], balance_dst + amount)
             api.compute(25)  # the surrounding application work
 
     stats = machine.finalize()
@@ -68,9 +68,7 @@ def main() -> None:
     print(f"uncommitted            : {report.uncommitted_instances} (undone)")
 
     # The invariant the whole design exists for: total money conserved.
-    total = sum(
-        int.from_bytes(machine.nvram.peek(addr, 8), "little") for addr in accounts
-    )
+    total = sum(machine.nvram.peek_word(addr) for addr in accounts)
     print(f"sum of balances        : {total} (expected 400)")
     assert total == 400, "atomicity violated!"
     print("crash consistency holds.")

@@ -20,14 +20,24 @@ Two hot-path design points keep large sweeps fast:
 * Bounds checks on ``read``/``write``/``peek``/``poke`` are inlined
   (rather than calling :func:`~repro.utils.check_range`): workload setup
   issues millions of functional writes and the extra call frame dominated
-  the setup profile.
+  the setup profile.  For the same reason set-up reads and writes whole
+  words through :meth:`NVRAM.peek_word`/:meth:`NVRAM.poke_word`, one
+  ``struct`` call on the image each.
 """
 
 from __future__ import annotations
 
+import struct
+
 from ..errors import AddressError
 from ..utils import check_range
 from .config import NVDimmConfig
+
+#: One unsigned little-endian word; explicit byte order, any alignment.
+_WORD = struct.Struct("<Q")
+_unpack_word = _WORD.unpack_from
+_pack_word = _WORD.pack_into
+_WORD_MAX = (1 << 64) - 1
 
 
 class NVRAM:
@@ -196,6 +206,40 @@ class NVRAM:
                 f"limit={self._size:#x}"
             )
         self.image[addr:end] = data
+        if addr < self._mid:
+            if end > self._lo_hwm:
+                self._lo_hwm = end
+        elif addr < self._hi_lwm:
+            self._hi_lwm = addr
+
+    def peek_word(self, addr: int) -> int:
+        """Read one little-endian unsigned word without touching traffic
+        counters (setup/recovery/tests)."""
+        if addr < 0 or addr + 8 > self._size:
+            raise AddressError(
+                f"NVRAM peek out of range: addr={addr:#x} size=8 "
+                f"limit={self._size:#x}"
+            )
+        return _unpack_word(self.image, addr)[0]
+
+    def poke_word(self, addr: int, value: int) -> None:
+        """Untimed write of one little-endian unsigned word (setup).
+
+        Like :meth:`poke`, no timing, journaling or counters.  A value
+        outside ``[0, 2**64)`` raises ``OverflowError`` (as
+        ``int.to_bytes`` does) and leaves the image untouched: it is
+        checked first because ``pack_into`` zeroes the word before it
+        fails.
+        """
+        end = addr + 8
+        if addr < 0 or end > self._size:
+            raise AddressError(
+                f"NVRAM poke out of range: addr={addr:#x} size=8 "
+                f"limit={self._size:#x}"
+            )
+        if value < 0 or value > _WORD_MAX:
+            raise OverflowError(f"word value out of range: {value}")
+        _pack_word(self.image, addr, value)
         if addr < self._mid:
             if end > self._lo_hwm:
                 self._lo_hwm = end

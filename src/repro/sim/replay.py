@@ -107,11 +107,13 @@ class RecordingAccessor:
     """Accessor that records one thread's operation stream.
 
     Implements the same protocol as :class:`~repro.txn.runtime.ThreadAPI`
-    (``read``/``write``/``compute``/``alloc``/``free``/``transaction``)
-    but charges no time — it appends column entries and serves reads from
-    the functional memory.  Thread-local allocation recycling mirrors
-    ``ThreadAPI`` exactly (LIFO per aligned size, frees quarantined until
-    commit) so the replayed ``alloc`` call sequence pops the same blocks.
+    (``read``/``write``/``read_word``/``write_word``/``compute``/
+    ``alloc``/``free``/``transaction``) but charges no time — it appends
+    column entries and serves reads from the functional memory.  A word
+    call records exactly the 8-byte ``read``/``write`` it stands for.
+    Thread-local allocation recycling mirrors ``ThreadAPI`` exactly (LIFO
+    per aligned size, frees quarantined until commit) so the replayed
+    ``alloc`` call sequence pops the same blocks.
     """
 
     def __init__(self, memory: _RecordingMemory, column: CompiledThread) -> None:
@@ -150,6 +152,12 @@ class RecordingAccessor:
             col.piece_sym.append(1 if symbolic else 0)
             col.piece_val.append(value)
             memory.write(piece_addr, piece)
+
+    def read_word(self, addr: int) -> int:
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def write_word(self, addr: int, value: int) -> None:
+        self.write(addr, int(value).to_bytes(8, "little"))
 
     def compute(self, count: int) -> None:
         if count > 0:

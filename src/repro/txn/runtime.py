@@ -343,6 +343,14 @@ class ThreadAPI:
         for piece_addr, piece in split_words(addr, data):
             self.write_piece(piece_addr, piece)
 
+    def read_word(self, addr: int) -> int:
+        """Read one little-endian unsigned word: an 8-byte :meth:`read`."""
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def write_word(self, addr: int, value: int) -> None:
+        """Write one little-endian unsigned word: an 8-byte :meth:`write`."""
+        self.write(addr, int(value).to_bytes(8, "little"))
+
     def write_piece(self, addr: int, piece: bytes) -> None:
         """Write one word piece (as :func:`~repro.utils.split_words`
         yields it) inside the open transaction.

@@ -6,10 +6,13 @@ through per-thread generators (:meth:`Workload.thread_body`), which the
 harness interleaves across cores in core-clock order.
 
 Structure code is written once against the *accessor* protocol —
-``read(addr, size)``, ``write(addr, data)``, ``compute(n)`` and
-``transaction()`` — and works both in the untimed setup phase and in the
-timed run phase (where the accessor is a
-:class:`~repro.txn.runtime.ThreadAPI`).
+``read(addr, size)``, ``write(addr, data)``, ``read_word(addr)``,
+``write_word(addr, value)``, ``compute(n)`` and ``transaction()`` — and
+works both in the untimed setup phase and in the timed run phase (where
+the accessor is a :class:`~repro.txn.runtime.ThreadAPI`).  A word is
+one little-endian unsigned 64-bit integer; ``read_word``/``write_word``
+behave exactly like an 8-byte ``read``/``write`` plus the decode or
+encode, and exist so set-up can pack words straight into the image.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ class SetupAccessor:
     """Untimed accessor used while building initial workload state.
 
     Setup issues millions of functional accesses for paper-scale
-    footprints, so ``read``/``write`` go straight to the NVRAM device
-    (bound at construction) instead of through the
-    :class:`PersistentMemory` facade — one call frame fewer each.
+    footprints, so every access goes straight to the NVRAM device (bound
+    at construction) instead of through the :class:`PersistentMemory`
+    facade — one call frame fewer each.  ``read_word``/``write_word``
+    are :meth:`~repro.sim.nvram.NVRAM.peek_word` and
+    :meth:`~repro.sim.nvram.NVRAM.poke_word`, one ``struct`` call on the
+    image per word; ``write`` is :meth:`~repro.sim.nvram.NVRAM.poke`.
     ``read`` is a closure over the device image returning a (mutable,
     caller-owned) ``bytearray`` slice: setup readers only decode or
     compare the result, and skipping the immutable-``bytes`` wrap of
@@ -53,6 +59,8 @@ class SetupAccessor:
 
         self.read = read
         self.write = nvram.poke
+        self.read_word = nvram.peek_word
+        self.write_word = nvram.poke_word
 
     def compute(self, count: int) -> None:
         """No-op during setup."""
@@ -210,19 +218,6 @@ class Workload(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    # ``int.to_bytes``/``int.from_bytes`` are used directly (rather than
-    # the utils helpers) because structure traversal calls these millions
-    # of times per sweep and the extra call frame is measurable.
-    @staticmethod
-    def read_word(acc, addr: int) -> int:
-        """Read one little-endian word as an unsigned int."""
-        return int.from_bytes(acc.read(addr, 8), "little")
-
-    @staticmethod
-    def write_word(acc, addr: int, value: int) -> None:
-        """Write one unsigned int as a little-endian word."""
-        acc.write(addr, int(value).to_bytes(8, "little"))
-
     def make_value(self, rng, tag: int) -> bytes:
         """Build an element payload (int word or multi-line string)."""
         if self.value_kind == "int":

@@ -68,19 +68,10 @@ class RBTreeWorkload(Workload):
     def _root_addr(self, part: int) -> int:
         return self._roots_base + part * 8
 
-    # read_word/write_word are inlined here: node-field reads are the
-    # single hottest call in tree setup (millions per build) and the
-    # extra helper frame is measurable on large sweeps.
-    def _get(self, acc, node: int, field: int) -> int:
-        return int.from_bytes(acc.read(node + field, 8), "little")
-
-    def _set(self, acc, node: int, field: int, value: int) -> None:
-        acc.write(node + field, int(value).to_bytes(8, "little"))
-
     def _color(self, acc, node: int) -> int:
         if node == 0:
             return BLACK
-        return self._get(acc, node, _COLOR)
+        return acc.read_word(node + _COLOR)
 
     # ------------------------------------------------------------------
     def setup(self, pm: PersistentMemory) -> None:
@@ -119,51 +110,51 @@ class RBTreeWorkload(Workload):
     # ------------------------------------------------------------------
     def find(self, acc, part: int, key: int) -> int:
         """Return the node address holding ``key`` or 0."""
-        node = self.read_word(acc, self._root_addr(part))
+        node = acc.read_word(self._root_addr(part))
         while node != 0:
             acc.compute(SEARCH_COMPUTE)
-            node_key = self._get(acc, node, _KEY)
+            node_key = acc.read_word(node + _KEY)
             if key == node_key:
                 return node
-            node = self._get(acc, node, _LEFT if key < node_key else _RIGHT)
+            node = acc.read_word(node + (_LEFT if key < node_key else _RIGHT))
         return 0
 
     # ------------------------------------------------------------------
     # Rotations
     # ------------------------------------------------------------------
     def _rotate_left(self, acc, part: int, x: int) -> None:
-        y = self._get(acc, x, _RIGHT)
-        yl = self._get(acc, y, _LEFT)
-        self._set(acc, x, _RIGHT, yl)
+        y = acc.read_word(x + _RIGHT)
+        yl = acc.read_word(y + _LEFT)
+        acc.write_word(x + _RIGHT, yl)
         if yl != 0:
-            self._set(acc, yl, _PARENT, x)
-        xp = self._get(acc, x, _PARENT)
-        self._set(acc, y, _PARENT, xp)
+            acc.write_word(yl + _PARENT, x)
+        xp = acc.read_word(x + _PARENT)
+        acc.write_word(y + _PARENT, xp)
         if xp == 0:
-            self.write_word(acc, self._root_addr(part), y)
-        elif x == self._get(acc, xp, _LEFT):
-            self._set(acc, xp, _LEFT, y)
+            acc.write_word(self._root_addr(part), y)
+        elif x == acc.read_word(xp + _LEFT):
+            acc.write_word(xp + _LEFT, y)
         else:
-            self._set(acc, xp, _RIGHT, y)
-        self._set(acc, y, _LEFT, x)
-        self._set(acc, x, _PARENT, y)
+            acc.write_word(xp + _RIGHT, y)
+        acc.write_word(y + _LEFT, x)
+        acc.write_word(x + _PARENT, y)
 
     def _rotate_right(self, acc, part: int, x: int) -> None:
-        y = self._get(acc, x, _LEFT)
-        yr = self._get(acc, y, _RIGHT)
-        self._set(acc, x, _LEFT, yr)
+        y = acc.read_word(x + _LEFT)
+        yr = acc.read_word(y + _RIGHT)
+        acc.write_word(x + _LEFT, yr)
         if yr != 0:
-            self._set(acc, yr, _PARENT, x)
-        xp = self._get(acc, x, _PARENT)
-        self._set(acc, y, _PARENT, xp)
+            acc.write_word(yr + _PARENT, x)
+        xp = acc.read_word(x + _PARENT)
+        acc.write_word(y + _PARENT, xp)
         if xp == 0:
-            self.write_word(acc, self._root_addr(part), y)
-        elif x == self._get(acc, xp, _RIGHT):
-            self._set(acc, xp, _RIGHT, y)
+            acc.write_word(self._root_addr(part), y)
+        elif x == acc.read_word(xp + _RIGHT):
+            acc.write_word(xp + _RIGHT, y)
         else:
-            self._set(acc, xp, _LEFT, y)
-        self._set(acc, y, _RIGHT, x)
-        self._set(acc, x, _PARENT, y)
+            acc.write_word(xp + _LEFT, y)
+        acc.write_word(y + _RIGHT, x)
+        acc.write_word(x + _PARENT, y)
 
     # ------------------------------------------------------------------
     # Insertion
@@ -171,89 +162,89 @@ class RBTreeWorkload(Workload):
     def insert(self, acc, part: int, key: int, value: bytes) -> bool:
         """Insert ``key``; returns False if it was already present."""
         parent = 0
-        node = self.read_word(acc, self._root_addr(part))
+        node = acc.read_word(self._root_addr(part))
         while node != 0:
             acc.compute(SEARCH_COMPUTE)
-            node_key = self._get(acc, node, _KEY)
+            node_key = acc.read_word(node + _KEY)
             if key == node_key:
                 return False
             parent = node
-            node = self._get(acc, node, _LEFT if key < node_key else _RIGHT)
+            node = acc.read_word(node + (_LEFT if key < node_key else _RIGHT))
         z = acc.alloc(self.node_size)
-        self._set(acc, z, _KEY, key)
-        self._set(acc, z, _LEFT, 0)
-        self._set(acc, z, _RIGHT, 0)
-        self._set(acc, z, _PARENT, parent)
-        self._set(acc, z, _COLOR, RED)
+        acc.write_word(z + _KEY, key)
+        acc.write_word(z + _LEFT, 0)
+        acc.write_word(z + _RIGHT, 0)
+        acc.write_word(z + _PARENT, parent)
+        acc.write_word(z + _COLOR, RED)
         acc.write(z + _VALUE, value)
         if parent == 0:
-            self.write_word(acc, self._root_addr(part), z)
-        elif key < self._get(acc, parent, _KEY):
-            self._set(acc, parent, _LEFT, z)
+            acc.write_word(self._root_addr(part), z)
+        elif key < acc.read_word(parent + _KEY):
+            acc.write_word(parent + _LEFT, z)
         else:
-            self._set(acc, parent, _RIGHT, z)
+            acc.write_word(parent + _RIGHT, z)
         self._insert_fixup(acc, part, z)
         return True
 
     def _insert_fixup(self, acc, part: int, z: int) -> None:
         while True:
-            zp = self._get(acc, z, _PARENT)
+            zp = acc.read_word(z + _PARENT)
             if zp == 0 or self._color(acc, zp) == BLACK:
                 break
-            zpp = self._get(acc, zp, _PARENT)
-            if zp == self._get(acc, zpp, _LEFT):
-                uncle = self._get(acc, zpp, _RIGHT)
+            zpp = acc.read_word(zp + _PARENT)
+            if zp == acc.read_word(zpp + _LEFT):
+                uncle = acc.read_word(zpp + _RIGHT)
                 if self._color(acc, uncle) == RED:
-                    self._set(acc, zp, _COLOR, BLACK)
-                    self._set(acc, uncle, _COLOR, BLACK)
-                    self._set(acc, zpp, _COLOR, RED)
+                    acc.write_word(zp + _COLOR, BLACK)
+                    acc.write_word(uncle + _COLOR, BLACK)
+                    acc.write_word(zpp + _COLOR, RED)
                     z = zpp
                 else:
-                    if z == self._get(acc, zp, _RIGHT):
+                    if z == acc.read_word(zp + _RIGHT):
                         z = zp
                         self._rotate_left(acc, part, z)
-                        zp = self._get(acc, z, _PARENT)
-                        zpp = self._get(acc, zp, _PARENT)
-                    self._set(acc, zp, _COLOR, BLACK)
-                    self._set(acc, zpp, _COLOR, RED)
+                        zp = acc.read_word(z + _PARENT)
+                        zpp = acc.read_word(zp + _PARENT)
+                    acc.write_word(zp + _COLOR, BLACK)
+                    acc.write_word(zpp + _COLOR, RED)
                     self._rotate_right(acc, part, zpp)
             else:
-                uncle = self._get(acc, zpp, _LEFT)
+                uncle = acc.read_word(zpp + _LEFT)
                 if self._color(acc, uncle) == RED:
-                    self._set(acc, zp, _COLOR, BLACK)
-                    self._set(acc, uncle, _COLOR, BLACK)
-                    self._set(acc, zpp, _COLOR, RED)
+                    acc.write_word(zp + _COLOR, BLACK)
+                    acc.write_word(uncle + _COLOR, BLACK)
+                    acc.write_word(zpp + _COLOR, RED)
                     z = zpp
                 else:
-                    if z == self._get(acc, zp, _LEFT):
+                    if z == acc.read_word(zp + _LEFT):
                         z = zp
                         self._rotate_right(acc, part, z)
-                        zp = self._get(acc, z, _PARENT)
-                        zpp = self._get(acc, zp, _PARENT)
-                    self._set(acc, zp, _COLOR, BLACK)
-                    self._set(acc, zpp, _COLOR, RED)
+                        zp = acc.read_word(z + _PARENT)
+                        zpp = acc.read_word(zp + _PARENT)
+                    acc.write_word(zp + _COLOR, BLACK)
+                    acc.write_word(zpp + _COLOR, RED)
                     self._rotate_left(acc, part, zpp)
-        root = self.read_word(acc, self._root_addr(part))
+        root = acc.read_word(self._root_addr(part))
         if self._color(acc, root) != BLACK:
-            self._set(acc, root, _COLOR, BLACK)
+            acc.write_word(root + _COLOR, BLACK)
 
     # ------------------------------------------------------------------
     # Deletion
     # ------------------------------------------------------------------
     def _transplant(self, acc, part: int, u: int, v: int) -> None:
-        up = self._get(acc, u, _PARENT)
+        up = acc.read_word(u + _PARENT)
         if up == 0:
-            self.write_word(acc, self._root_addr(part), v)
-        elif u == self._get(acc, up, _LEFT):
-            self._set(acc, up, _LEFT, v)
+            acc.write_word(self._root_addr(part), v)
+        elif u == acc.read_word(up + _LEFT):
+            acc.write_word(up + _LEFT, v)
         else:
-            self._set(acc, up, _RIGHT, v)
+            acc.write_word(up + _RIGHT, v)
         if v != 0:
-            self._set(acc, v, _PARENT, up)
+            acc.write_word(v + _PARENT, up)
 
     def _minimum(self, acc, node: int) -> int:
         while True:
-            left = self._get(acc, node, _LEFT)
+            left = acc.read_word(node + _LEFT)
             if left == 0:
                 return node
             node = left
@@ -265,100 +256,100 @@ class RBTreeWorkload(Workload):
             return False
         y = z
         y_color = self._color(acc, y)
-        if self._get(acc, z, _LEFT) == 0:
-            x = self._get(acc, z, _RIGHT)
-            x_parent = self._get(acc, z, _PARENT)
+        if acc.read_word(z + _LEFT) == 0:
+            x = acc.read_word(z + _RIGHT)
+            x_parent = acc.read_word(z + _PARENT)
             self._transplant(acc, part, z, x)
-        elif self._get(acc, z, _RIGHT) == 0:
-            x = self._get(acc, z, _LEFT)
-            x_parent = self._get(acc, z, _PARENT)
+        elif acc.read_word(z + _RIGHT) == 0:
+            x = acc.read_word(z + _LEFT)
+            x_parent = acc.read_word(z + _PARENT)
             self._transplant(acc, part, z, x)
         else:
-            y = self._minimum(acc, self._get(acc, z, _RIGHT))
+            y = self._minimum(acc, acc.read_word(z + _RIGHT))
             y_color = self._color(acc, y)
-            x = self._get(acc, y, _RIGHT)
-            if self._get(acc, y, _PARENT) == z:
+            x = acc.read_word(y + _RIGHT)
+            if acc.read_word(y + _PARENT) == z:
                 x_parent = y
                 if x != 0:
-                    self._set(acc, x, _PARENT, y)
+                    acc.write_word(x + _PARENT, y)
             else:
-                x_parent = self._get(acc, y, _PARENT)
+                x_parent = acc.read_word(y + _PARENT)
                 self._transplant(acc, part, y, x)
-                zr = self._get(acc, z, _RIGHT)
-                self._set(acc, y, _RIGHT, zr)
-                self._set(acc, zr, _PARENT, y)
+                zr = acc.read_word(z + _RIGHT)
+                acc.write_word(y + _RIGHT, zr)
+                acc.write_word(zr + _PARENT, y)
             self._transplant(acc, part, z, y)
-            zl = self._get(acc, z, _LEFT)
-            self._set(acc, y, _LEFT, zl)
-            self._set(acc, zl, _PARENT, y)
-            self._set(acc, y, _COLOR, self._color(acc, z))
+            zl = acc.read_word(z + _LEFT)
+            acc.write_word(y + _LEFT, zl)
+            acc.write_word(zl + _PARENT, y)
+            acc.write_word(y + _COLOR, self._color(acc, z))
         if y_color == BLACK:
             self._delete_fixup(acc, part, x, x_parent)
         acc.free(z, self.node_size)
         return True
 
     def _delete_fixup(self, acc, part: int, x: int, x_parent: int) -> None:
-        while x != self.read_word(acc, self._root_addr(part)) and self._color(acc, x) == BLACK:
+        while x != acc.read_word(self._root_addr(part)) and self._color(acc, x) == BLACK:
             if x_parent == 0:
                 break
-            if x == self._get(acc, x_parent, _LEFT):
-                w = self._get(acc, x_parent, _RIGHT)
+            if x == acc.read_word(x_parent + _LEFT):
+                w = acc.read_word(x_parent + _RIGHT)
                 if self._color(acc, w) == RED:
-                    self._set(acc, w, _COLOR, BLACK)
-                    self._set(acc, x_parent, _COLOR, RED)
+                    acc.write_word(w + _COLOR, BLACK)
+                    acc.write_word(x_parent + _COLOR, RED)
                     self._rotate_left(acc, part, x_parent)
-                    w = self._get(acc, x_parent, _RIGHT)
-                wl = self._get(acc, w, _LEFT)
-                wr = self._get(acc, w, _RIGHT)
+                    w = acc.read_word(x_parent + _RIGHT)
+                wl = acc.read_word(w + _LEFT)
+                wr = acc.read_word(w + _RIGHT)
                 if self._color(acc, wl) == BLACK and self._color(acc, wr) == BLACK:
-                    self._set(acc, w, _COLOR, RED)
+                    acc.write_word(w + _COLOR, RED)
                     x = x_parent
-                    x_parent = self._get(acc, x, _PARENT)
+                    x_parent = acc.read_word(x + _PARENT)
                 else:
                     if self._color(acc, wr) == BLACK:
                         if wl != 0:
-                            self._set(acc, wl, _COLOR, BLACK)
-                        self._set(acc, w, _COLOR, RED)
+                            acc.write_word(wl + _COLOR, BLACK)
+                        acc.write_word(w + _COLOR, RED)
                         self._rotate_right(acc, part, w)
-                        w = self._get(acc, x_parent, _RIGHT)
-                        wr = self._get(acc, w, _RIGHT)
-                    self._set(acc, w, _COLOR, self._color(acc, x_parent))
-                    self._set(acc, x_parent, _COLOR, BLACK)
+                        w = acc.read_word(x_parent + _RIGHT)
+                        wr = acc.read_word(w + _RIGHT)
+                    acc.write_word(w + _COLOR, self._color(acc, x_parent))
+                    acc.write_word(x_parent + _COLOR, BLACK)
                     if wr != 0:
-                        self._set(acc, wr, _COLOR, BLACK)
+                        acc.write_word(wr + _COLOR, BLACK)
                     self._rotate_left(acc, part, x_parent)
-                    x = self.read_word(acc, self._root_addr(part))
+                    x = acc.read_word(self._root_addr(part))
                     x_parent = 0
             else:
-                w = self._get(acc, x_parent, _LEFT)
+                w = acc.read_word(x_parent + _LEFT)
                 if self._color(acc, w) == RED:
-                    self._set(acc, w, _COLOR, BLACK)
-                    self._set(acc, x_parent, _COLOR, RED)
+                    acc.write_word(w + _COLOR, BLACK)
+                    acc.write_word(x_parent + _COLOR, RED)
                     self._rotate_right(acc, part, x_parent)
-                    w = self._get(acc, x_parent, _LEFT)
-                wl = self._get(acc, w, _LEFT)
-                wr = self._get(acc, w, _RIGHT)
+                    w = acc.read_word(x_parent + _LEFT)
+                wl = acc.read_word(w + _LEFT)
+                wr = acc.read_word(w + _RIGHT)
                 if self._color(acc, wr) == BLACK and self._color(acc, wl) == BLACK:
-                    self._set(acc, w, _COLOR, RED)
+                    acc.write_word(w + _COLOR, RED)
                     x = x_parent
-                    x_parent = self._get(acc, x, _PARENT)
+                    x_parent = acc.read_word(x + _PARENT)
                 else:
                     if self._color(acc, wl) == BLACK:
                         if wr != 0:
-                            self._set(acc, wr, _COLOR, BLACK)
-                        self._set(acc, w, _COLOR, RED)
+                            acc.write_word(wr + _COLOR, BLACK)
+                        acc.write_word(w + _COLOR, RED)
                         self._rotate_left(acc, part, w)
-                        w = self._get(acc, x_parent, _LEFT)
-                        wl = self._get(acc, w, _LEFT)
-                    self._set(acc, w, _COLOR, self._color(acc, x_parent))
-                    self._set(acc, x_parent, _COLOR, BLACK)
+                        w = acc.read_word(x_parent + _LEFT)
+                        wl = acc.read_word(w + _LEFT)
+                    acc.write_word(w + _COLOR, self._color(acc, x_parent))
+                    acc.write_word(x_parent + _COLOR, BLACK)
                     if wl != 0:
-                        self._set(acc, wl, _COLOR, BLACK)
+                        acc.write_word(wl + _COLOR, BLACK)
                     self._rotate_right(acc, part, x_parent)
-                    x = self.read_word(acc, self._root_addr(part))
+                    x = acc.read_word(self._root_addr(part))
                     x_parent = 0
         if x != 0:
-            self._set(acc, x, _COLOR, BLACK)
+            acc.write_word(x + _COLOR, BLACK)
 
     # ------------------------------------------------------------------
     # Verification helpers (tests)
@@ -367,14 +358,14 @@ class RBTreeWorkload(Workload):
         """All keys in sorted order (iterative traversal)."""
         keys = []
         stack = []
-        node = self.read_word(acc, self._root_addr(part))
+        node = acc.read_word(self._root_addr(part))
         while node != 0 or stack:
             while node != 0:
                 stack.append(node)
-                node = self._get(acc, node, _LEFT)
+                node = acc.read_word(node + _LEFT)
             node = stack.pop()
-            keys.append(self._get(acc, node, _KEY))
-            node = self._get(acc, node, _RIGHT)
+            keys.append(acc.read_word(node + _KEY))
+            node = acc.read_word(node + _RIGHT)
         return keys
 
     def check_invariants(self, acc, part: int) -> int:
@@ -383,7 +374,7 @@ class RBTreeWorkload(Workload):
         Raises AssertionError on violation (root is black, no red node
         has a red child, equal black height on every path).
         """
-        root = self.read_word(acc, self._root_addr(part))
+        root = acc.read_word(self._root_addr(part))
         if root == 0:
             return 0
         assert self._color(acc, root) == BLACK, "root must be black"
@@ -393,8 +384,8 @@ class RBTreeWorkload(Workload):
         if node == 0:
             return 1
         color = self._color(acc, node)
-        left = self._get(acc, node, _LEFT)
-        right = self._get(acc, node, _RIGHT)
+        left = acc.read_word(node + _LEFT)
+        right = acc.read_word(node + _RIGHT)
         if color == RED:
             assert self._color(acc, left) == BLACK, "red node with red left child"
             assert self._color(acc, right) == BLACK, "red node with red right child"

@@ -86,9 +86,9 @@ class SSCA2Workload(Workload):
         for part in range(MAX_PARTITIONS):
             for v in range(self.vertices_per_partition):
                 base = self._vertex_addr(part, v)
-                self.write_word(acc, base + _HEAD, 0)
-                self.write_word(acc, base + _DEGREE, 0)
-                self.write_word(acc, base + _METRIC, 0)
+                acc.write_word(base + _HEAD, 0)
+                acc.write_word(base + _DEGREE, 0)
+                acc.write_word(base + _METRIC, 0)
         rng = thread_rng(self.seed, 0x55CA)
         for part in range(MAX_PARTITIONS):
             for v in range(self.vertices_per_partition):
@@ -125,29 +125,29 @@ class SSCA2Workload(Workload):
     def _insert_edge(self, acc, part: int, src: int, dst: int, weight: int) -> None:
         """Kernel 1: prepend an edge node to src's adjacency list."""
         vertex = self._vertex_addr(part, src)
-        head = self.read_word(acc, vertex + _HEAD)
+        head = acc.read_word(vertex + _HEAD)
         edge = acc.alloc(EDGE_SIZE)
-        self.write_word(acc, edge + _DEST, dst)
-        self.write_word(acc, edge + _WEIGHT, weight)
-        self.write_word(acc, edge + _NEXT, head)
-        self.write_word(acc, vertex + _HEAD, edge)
-        degree = self.read_word(acc, vertex + _DEGREE)
-        self.write_word(acc, vertex + _DEGREE, degree + 1)
+        acc.write_word(edge + _DEST, dst)
+        acc.write_word(edge + _WEIGHT, weight)
+        acc.write_word(edge + _NEXT, head)
+        acc.write_word(vertex + _HEAD, edge)
+        degree = acc.read_word(vertex + _DEGREE)
+        acc.write_word(vertex + _DEGREE, degree + 1)
 
     def _classify_edges(self, acc, part: int, v: int) -> None:
         """Kernel 2: find the maximum edge weight and persist it."""
         vertex = self._vertex_addr(part, v)
-        edge = self.read_word(acc, vertex + _HEAD)
+        edge = acc.read_word(vertex + _HEAD)
         best = 0
         hops = 0
         while edge != 0 and hops < 32:
             acc.compute(PER_EDGE_COMPUTE)
-            weight = self.read_word(acc, edge + _WEIGHT)
+            weight = acc.read_word(edge + _WEIGHT)
             if weight > best:
                 best = weight
-            edge = self.read_word(acc, edge + _NEXT)
+            edge = acc.read_word(edge + _NEXT)
             hops += 1
-        self.write_word(acc, vertex + _METRIC, best)
+        acc.write_word(vertex + _METRIC, best)
 
     def _analyze_neighbourhood(self, acc, part: int, v: int) -> None:
         """Kernel 3/4 flavour: two-hop walk accumulating a centrality-ish
@@ -158,32 +158,32 @@ class SSCA2Workload(Workload):
             next_frontier = []
             for u in frontier[:4]:
                 vertex = self._vertex_addr(part, u)
-                edge = self.read_word(acc, vertex + _HEAD)
+                edge = acc.read_word(vertex + _HEAD)
                 hops = 0
                 while edge != 0 and hops < 8:
                     acc.compute(PER_EDGE_COMPUTE)
-                    dest = self.read_word(acc, edge + _DEST)
-                    total += self.read_word(acc, edge + _WEIGHT)
+                    dest = acc.read_word(edge + _DEST)
+                    total += acc.read_word(edge + _WEIGHT)
                     next_frontier.append(dest)
-                    edge = self.read_word(acc, edge + _NEXT)
+                    edge = acc.read_word(edge + _NEXT)
                     hops += 1
             frontier = next_frontier
         vertex = self._vertex_addr(part, v)
-        old = self.read_word(acc, vertex + _METRIC)
-        self.write_word(acc, vertex + _METRIC, (old + total) & ((1 << 64) - 1))
+        old = acc.read_word(vertex + _METRIC)
+        acc.write_word(vertex + _METRIC, (old + total) & ((1 << 64) - 1))
 
     # ------------------------------------------------------------------
     def degree_of(self, acc, part: int, v: int) -> int:
         """Persisted degree counter (for tests)."""
-        return self.read_word(acc, self._vertex_addr(part, v) + _DEGREE)
+        return acc.read_word(self._vertex_addr(part, v) + _DEGREE)
 
     def adjacency(self, acc, part: int, v: int) -> list:
         """List of (dest, weight) for vertex ``v`` (for tests)."""
         edges = []
-        edge = self.read_word(acc, self._vertex_addr(part, v) + _HEAD)
+        edge = acc.read_word(self._vertex_addr(part, v) + _HEAD)
         while edge != 0:
             edges.append(
-                (self.read_word(acc, edge + _DEST), self.read_word(acc, edge + _WEIGHT))
+                (acc.read_word(edge + _DEST), acc.read_word(edge + _WEIGHT))
             )
-            edge = self.read_word(acc, edge + _NEXT)
+            edge = acc.read_word(edge + _NEXT)
         return edges

@@ -39,7 +39,7 @@ class ProbingTable:
         """Mark every slot empty."""
         for part in range(MAX_PARTITIONS):
             for slot in range(self.capacity):
-                self._w.write_word(acc, self.slot_addr(part, slot), 0)
+                acc.write_word(self.slot_addr(part, slot), 0)
 
     def slot_addr(self, part: int, slot: int) -> int:
         """Address of ``slot`` in ``part``."""
@@ -52,7 +52,7 @@ class ProbingTable:
         slot = (key * 2654435761) % self.capacity
         for _step in range(self.capacity):
             addr = self.slot_addr(part, slot)
-            stored = self._w.read_word(acc, addr)
+            stored = acc.read_word(addr)
             acc.compute(2)
             if stored == key:
                 return addr, True
@@ -72,7 +72,7 @@ class ProbingTable:
         """Insert or update ``key``.  Keys must be non-zero."""
         addr, found = self._probe(acc, part, key)
         if not found:
-            self._w.write_word(acc, addr, key)
+            acc.write_word(addr, key)
         acc.write(addr + 8, value)
 
     def remove(self, acc, part: int, key: int) -> bool:
@@ -86,7 +86,7 @@ class ProbingTable:
         addr, found = self._probe(acc, part, key)
         if not found:
             return False
-        self._w.write_word(acc, addr, 0)
+        acc.write_word(addr, 0)
         return True
 
 
@@ -165,46 +165,46 @@ class LRUList:
     def init_chain(self, acc, part: int) -> None:
         """Link every node into one chain, index 0 at the head."""
         anchor = self._anchor(part)
-        self._w.write_word(acc, anchor, self.node_addr(part, 0))  # head
-        self._w.write_word(acc, anchor + 8, self.node_addr(part, self.nodes - 1))
+        acc.write_word(anchor, self.node_addr(part, 0))  # head
+        acc.write_word(anchor + 8, self.node_addr(part, self.nodes - 1))
         for i in range(self.nodes):
             node = self.node_addr(part, i)
             prev_addr = self.node_addr(part, i - 1) if i > 0 else 0
             next_addr = self.node_addr(part, i + 1) if i < self.nodes - 1 else 0
-            self._w.write_word(acc, node + self._PREV, prev_addr)
-            self._w.write_word(acc, node + self._NEXT, next_addr)
-            self._w.write_word(acc, node + self._TAG, i)
+            acc.write_word(node + self._PREV, prev_addr)
+            acc.write_word(node + self._NEXT, next_addr)
+            acc.write_word(node + self._TAG, i)
 
     def move_to_front(self, acc, part: int, index: int) -> None:
         """Splice node ``index`` out and relink it at the head."""
         anchor = self._anchor(part)
         node = self.node_addr(part, index)
-        head = self._w.read_word(acc, anchor)
+        head = acc.read_word(anchor)
         if head == node:
             return
-        prev_addr = self._w.read_word(acc, node + self._PREV)
-        next_addr = self._w.read_word(acc, node + self._NEXT)
+        prev_addr = acc.read_word(node + self._PREV)
+        next_addr = acc.read_word(node + self._NEXT)
         if prev_addr != 0:
-            self._w.write_word(acc, prev_addr + self._NEXT, next_addr)
+            acc.write_word(prev_addr + self._NEXT, next_addr)
         if next_addr != 0:
-            self._w.write_word(acc, next_addr + self._PREV, prev_addr)
+            acc.write_word(next_addr + self._PREV, prev_addr)
         else:
-            self._w.write_word(acc, anchor + 8, prev_addr)  # new tail
-        self._w.write_word(acc, node + self._PREV, 0)
-        self._w.write_word(acc, node + self._NEXT, head)
-        self._w.write_word(acc, head + self._PREV, node)
-        self._w.write_word(acc, anchor, node)
+            acc.write_word(anchor + 8, prev_addr)  # new tail
+        acc.write_word(node + self._PREV, 0)
+        acc.write_word(node + self._NEXT, head)
+        acc.write_word(head + self._PREV, node)
+        acc.write_word(anchor, node)
 
     def head_tag(self, acc, part: int) -> int:
         """Tag of the most recently used node (for tests)."""
-        head = self._w.read_word(acc, self._anchor(part))
-        return self._w.read_word(acc, head + self._TAG)
+        head = acc.read_word(self._anchor(part))
+        return acc.read_word(head + self._TAG)
 
     def chain_tags(self, acc, part: int) -> list:
         """Tags in head-to-tail order (for tests)."""
         tags = []
-        node = self._w.read_word(acc, self._anchor(part))
+        node = acc.read_word(self._anchor(part))
         while node != 0:
-            tags.append(self._w.read_word(acc, node + self._TAG))
-            node = self._w.read_word(acc, node + self._NEXT)
+            tags.append(acc.read_word(node + self._TAG))
+            node = acc.read_word(node + self._NEXT)
         return tags

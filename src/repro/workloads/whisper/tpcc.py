@@ -54,8 +54,8 @@ class TPCCKernel(Workload):
         for part in range(MAX_PARTITIONS):
             for item in range(self.items_per_partition):
                 addr = self._stock_addr(part, item)
-                self.write_word(acc, addr, 100)
-                self.write_word(acc, addr + 8, 0)
+                acc.write_word(addr, 100)
+                acc.write_word(addr + 8, 0)
 
     def reset_run_state(self) -> None:
         """Rewind the append-log cursors (volatile per-run state)."""
@@ -96,14 +96,14 @@ class TPCCKernel(Workload):
                     )
                     self._lines.append(api, part, line)
                     stock = self._stock_addr(part, item)
-                    quantity = self.read_word(api, stock)
-                    ytd = self.read_word(api, stock + 8)
+                    quantity = api.read_word(stock)
+                    ytd = api.read_word(stock + 8)
                     new_quantity = quantity - 1 if quantity > 10 else quantity + 91
-                    self.write_word(api, stock, new_quantity)
-                    self.write_word(api, stock + 8, ytd + 1)
+                    api.write_word(stock, new_quantity)
+                    api.write_word(stock + 8, ytd + 1)
             yield
 
     def stock_state(self, acc, part: int, item: int) -> tuple:
         """(quantity, ytd) for tests."""
         addr = self._stock_addr(part, item)
-        return self.read_word(acc, addr), self.read_word(acc, addr + 8)
+        return acc.read_word(addr), acc.read_word(addr + 8)

@@ -47,6 +47,65 @@ class TestFunctionalAccess:
             nvram.write(1024 * 1024, b"x")
 
 
+class TestWordAccess:
+    """``peek_word``/``poke_word``: the set-up path's one-word accesses."""
+
+    def test_round_trip_is_little_endian(self, nvram):
+        nvram.poke_word(100, 0x0102030405060708)
+        assert nvram.peek(100, 8) == bytes([8, 7, 6, 5, 4, 3, 2, 1])
+        assert nvram.peek_word(100) == 0x0102030405060708
+
+    def test_unaligned_and_last_word(self, nvram):
+        last = nvram.config.size_bytes - 8
+        nvram.poke_word(last, 2**64 - 1)
+        nvram.poke_word(3, 77)
+        assert nvram.peek_word(last) == 2**64 - 1
+        assert nvram.peek_word(3) == 77
+
+    def test_no_counters_or_journal(self, nvram):
+        nvram.poke_word(0, 5)
+        nvram.peek_word(0)
+        assert nvram.total_read_bytes == nvram.total_write_bytes == 0
+        assert nvram.journal_length == 0
+
+    def test_out_of_range(self, nvram):
+        for addr in (-1, nvram.config.size_bytes - 7):
+            with pytest.raises(AddressError):
+                nvram.peek_word(addr)
+            with pytest.raises(AddressError):
+                nvram.poke_word(addr, 1)
+
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_value_out_of_range_does_not_wrap(self, nvram, value):
+        nvram.poke_word(64, 0x55)
+        with pytest.raises(OverflowError):
+            nvram.poke_word(64, value)
+        assert nvram.peek_word(64) == 0x55
+
+    def test_widens_both_extent_windows(self, nvram):
+        size = nvram.config.size_bytes
+        assert nvram.written_extent() == (0, size)
+        nvram.poke_word(1000, 1)
+        nvram.poke_word(size // 2 + 64, 2)
+        assert nvram.written_extent() == (1008, size // 2 + 64)
+
+    def test_recycled_buffer_comes_back_zeroed(self):
+        # A size no other test uses, so the pool entry is this test's own.
+        config = NVDimmConfig(size_bytes=1024 * 1024 + 16384)
+        NVRAM._image_pool.pop(config.size_bytes, None)
+        try:
+            first = NVRAM(config)
+            image = first.image
+            first.poke_word(8, 2**64 - 1)
+            first.poke_word(config.size_bytes - 8, 0xABCDEF)
+            first.recycle()
+            second = NVRAM(config)
+            assert second.image is image
+            assert second.image == bytes(config.size_bytes)
+        finally:
+            NVRAM._image_pool.pop(config.size_bytes, None)
+
+
 class TestGeometry:
     def test_line_interleaved_banks(self, nvram):
         banks = [nvram.bank_of(line * 64) for line in range(8)]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.design import NON_PERS
-from repro.workloads.base import SetupAccessor, Workload
+from repro.workloads.base import SetupAccessor
 from repro.workloads.rng import ZipfGenerator, thread_rng
 from tests.conftest import make_pm
 
@@ -51,8 +51,8 @@ class TestWorkloadBase:
     def test_word_helpers(self):
         pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
-        Workload.write_word(acc, 0x2000, 0xDEADBEEF)
-        assert Workload.read_word(acc, 0x2000) == 0xDEADBEEF
+        acc.write_word(0x2000, 0xDEADBEEF)
+        assert acc.read_word(0x2000) == 0xDEADBEEF
 
 
 class TestThreadRng:

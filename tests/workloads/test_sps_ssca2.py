@@ -90,7 +90,7 @@ class TestSSCA2:
         _pm, w, acc = graph_env
         w._insert_edge(acc, 0, 5, 1, 99999)
         w._classify_edges(acc, 0, 5)
-        metric = w.read_word(acc, w._vertex_addr(0, 5) + 16)
+        metric = acc.read_word(w._vertex_addr(0, 5) + 16)
         assert metric == 99999
 
     def test_scale_free_bias(self, graph_env):
